@@ -104,7 +104,7 @@ class FlowConfig:
             "lhs_transform",
             "fit_mixture_em",
             "fit_mixture_em_batch",
-            "fit_mixture_em_multi",
+            "fit_mixture_em_multistart",
             "kmeans_1d",
             "kmeans_1d_batch",
             "kmeans_nd",

@@ -173,44 +173,29 @@ class ArcCharacterization:
             f"quantity must be delay/transition, got {quantity!r}"
         )
 
-    def fit_grid(
-        self, quantity: str, fitter=LVF2Model.fit, *, vectorized: bool = False
-    ) -> np.ndarray:
-        """Fit a model at every grid point; returns an object grid.
+    def fit_grid(self, quantity: str) -> np.ndarray:
+        """Fit LVF2 at every grid point; returns an object grid.
 
-        With ``vectorized=True`` and the default fitter, the whole grid
-        is stacked into one ``(n_points, n_samples)`` array and fitted
-        by :meth:`LVF2Model.fit_batch` — bit-identical to the serial
-        loop, including which error is raised first (row-major order,
-        like the loop).  Custom fitters always take the serial path.
+        The grid is stacked into one ``(n_points, n_samples)`` array
+        and fitted by :meth:`LVF2Model.fit_batch`.  The first failing
+        point in row-major order raises, as a per-point loop would.
         """
         shape = self.config.grid_shape
         models = np.empty(shape, dtype=object)
         indices = [
             (i, j) for i in range(shape[0]) for j in range(shape[1])
         ]
-        # ``LVF2Model.fit`` is a classmethod: each attribute access
-        # builds a fresh bound method, so compare the underlying
-        # function rather than the bound object.
-        default_fitter = (
-            getattr(fitter, "__func__", None) is LVF2Model.fit.__func__
+        stack = np.stack(
+            [self.samples(quantity, i, j) for i, j in indices]
         )
-        if vectorized and default_fitter:
-            stack = np.stack(
-                [self.samples(quantity, i, j) for i, j in indices]
-            )
-            with telemetry.span(
-                "fit.grid_batch", stage="fitting", n_points=len(indices)
-            ):
-                fitted = LVF2Model.fit_batch(stack, errors="capture")
-            for (i, j), result in zip(indices, fitted):
-                if isinstance(result, Exception):
-                    raise result
-                models[i, j] = result
-            return models
-        for i, j in indices:
-            with telemetry.span("fit.point", stage="fitting"):
-                models[i, j] = fitter(self.samples(quantity, i, j))
+        with telemetry.span(
+            "fit.grid_batch", stage="fitting", n_points=len(indices)
+        ):
+            fitted = LVF2Model.fit_batch(stack, errors="capture")
+        for (i, j), result in zip(indices, fitted):
+            if isinstance(result, Exception):
+                raise result
+            models[i, j] = result
         return models
 
 
@@ -414,17 +399,13 @@ def _fit_grid_with_policy(
     quantity: str,
     policy: FitPolicy,
     report: FitReport | None,
-    *,
-    vectorized: bool = True,
 ) -> np.ndarray:
     """Fit every grid point through the fallback ladder.
 
-    With ``vectorized=True`` the first ladder rung runs through
-    :meth:`FitPolicy.fit_batch_iter`, which batches the LVF2 EM fit
-    over the stacked grid and is bit-identical to calling
-    :meth:`FitPolicy.fit` per point — outcomes still arrive one point
-    at a time in row-major order, so report records and any mid-grid
-    exception match the serial loop exactly.
+    :meth:`FitPolicy.fit_batch_iter` batches the first-rung LVF2 fit
+    over the stacked grid; outcomes still arrive one point at a time
+    in row-major order, so report records and any mid-grid exception
+    match a per-point loop exactly.
     """
     shape = char.config.grid_shape
     models = np.empty(shape, dtype=object)
@@ -441,13 +422,7 @@ def _fit_grid_with_policy(
         for i, j in indices
     ]
     samples_list = [char.samples(quantity, i, j) for i, j in indices]
-    if vectorized:
-        outcomes = policy.fit_batch_iter(samples_list, contexts)
-    else:
-        outcomes = (
-            policy.fit(samples, context=context)
-            for samples, context in zip(samples_list, contexts)
-        )
+    outcomes = policy.fit_batch_iter(samples_list, contexts)
     for (i, j), context, outcome in zip(indices, contexts, outcomes):
         if report is not None:
             report.record_fit(context, outcome)
@@ -463,7 +438,6 @@ def characterized_arc_to_liberty(
     collapse_by_bic: bool = False,
     policy: FitPolicy | None = None,
     report: FitReport | None = None,
-    vectorized: bool = True,
 ) -> TimingArc:
     """Fit LVF2 grids for both edges and build a Liberty timing arc.
 
@@ -476,10 +450,6 @@ def characterized_arc_to_liberty(
         policy: Optional fallback ladder; when given, a degenerate fit
             at one grid point degrades that point instead of raising.
         report: Degradation report fed by ``policy`` fits.
-        vectorized: Fit each quantity's grid through the batched EM
-            path (bit-identical to the serial per-point loop; see
-            :meth:`~repro.models.lvf2.LVF2Model.fit_batch`).  ``False``
-            forces the original per-point fits.
     """
     if (rise.cell, rise.input_pin) != (fall.cell, fall.input_pin):
         raise CharacterizationError(
@@ -508,11 +478,9 @@ def characterized_arc_to_liberty(
             template.name, config.slews, config.loads, nominal_grid
         )
         if policy is not None:
-            models = _fit_grid_with_policy(
-                char, quantity, policy, report, vectorized=vectorized
-            )
+            models = _fit_grid_with_policy(char, quantity, policy, report)
         else:
-            models = char.fit_grid(quantity, vectorized=vectorized)
+            models = char.fit_grid(quantity)
         if collapse_by_bic:
             for index in np.ndindex(models.shape):
                 model = models[index]
@@ -549,9 +517,6 @@ def pin_fit_token(
     that can change a fit (the policy ladder, quarantine behaviour)
     must change the key.  ``FitPolicy`` is a frozen dataclass of
     scalars and tuples, so its repr is stable across processes/hosts.
-    The ``vectorized`` toggle is deliberately *not* part of the key:
-    the batched fit is bit-identical to the serial one, so both modes
-    produce (and may reuse) the same payload bytes.
     """
     rise = arc_checkpoint_token(engine, cell, pin_name, "rise", config)
     fall = arc_checkpoint_token(engine, cell, pin_name, "fall", config)
@@ -567,7 +532,6 @@ def _pin_payload(
     checkpoint: CheckpointStore | None,
     policy: FitPolicy | None,
     isolate_errors: bool,
-    vectorized: bool = True,
 ) -> dict:
     """Simulate both edges and fit one pin; the single shared path.
 
@@ -603,7 +567,7 @@ def _pin_payload(
         }
     try:
         arc = characterized_arc_to_liberty(
-            rise, fall, policy=policy, report=local, vectorized=vectorized
+            rise, fall, policy=policy, report=local
         )
     except (CharacterizationError, FittingError) as error:
         if not isolate_errors:
@@ -626,7 +590,6 @@ def _characterize_pin_task(
     config: CharacterizationConfig,
     policy: FitPolicy | None,
     isolate_errors: bool,
-    vectorized: bool = True,
 ) -> dict:
     """Pool task: one pin's payload, Monte-Carlo checkpointed in-store.
 
@@ -641,7 +604,6 @@ def _characterize_pin_task(
         checkpoint=store,
         policy=policy,
         isolate_errors=isolate_errors,
-        vectorized=vectorized,
     )
 
 
@@ -910,7 +872,6 @@ def characterization_work_items(
     policy: FitPolicy | None = None,
     isolate_errors: bool = False,
     granularity: str = "pin",
-    vectorized: bool = True,
 ) -> tuple[WorkItem, ...]:
     """Pool work items for a library run, at the chosen granularity.
 
@@ -928,11 +889,6 @@ def characterization_work_items(
     only *read* a full-arc Monte-Carlo entry if one already exists)
     and set :attr:`WorkItem.group` to the pin they fold into during
     two-level assembly.
-
-    ``vectorized`` reaches pin items only: a grid item fits exactly one
-    condition, so there is no batch axis to vectorize over (and its
-    token stays untouched either way — the batched fit is
-    bit-identical, so payload bytes do not depend on the toggle).
 
     Raises:
         ParameterError: On an unknown granularity.
@@ -1008,7 +964,6 @@ def characterization_work_items(
                         config,
                         policy,
                         isolate_errors,
-                        vectorized,
                     ),
                     companions=(rise, fall),
                 )
@@ -1083,7 +1038,6 @@ def _parallel_supplier(
     workers: int,
     pool,
     granularity: str = "pin",
-    vectorized: bool = True,
 ):
     """Run the worker pool, pre-load every pin payload, hand back a
     ``supplier(cell, pin) -> payload`` for serial-order assembly.
@@ -1106,7 +1060,6 @@ def _parallel_supplier(
         policy=policy,
         isolate_errors=isolate_errors,
         granularity=granularity,
-        vectorized=vectorized,
     )
     temp_dir = None
     store = checkpoint
@@ -1155,7 +1108,6 @@ def _parallel_supplier(
                             checkpoint=reader,
                             policy=policy,
                             isolate_errors=isolate_errors,
-                            vectorized=vectorized,
                         )
                 payloads[(cell.name, pin_name)] = payload
     finally:
@@ -1235,7 +1187,6 @@ def characterize_library(
     workers: int = 1,
     pool=None,
     granularity: str = "pin",
-    vectorized: bool = True,
 ) -> Library:
     """Characterise a cell list into a complete LVF2 Liberty library.
 
@@ -1266,11 +1217,6 @@ def characterize_library(
             :func:`characterization_work_items`).  Serial runs ignore
             it beyond validation — and every granularity/worker-count
             combination produces byte-identical output.
-        vectorized: Run each grid's model fits through the batched EM
-            path (:meth:`~repro.models.lvf2.LVF2Model.fit_batch`) —
-            bit-identical results, one vectorized pass instead of a
-            per-point Python loop.  ``False`` restores the serial
-            per-point fits (``repro characterize --serial-fit``).
     """
     if granularity not in GRANULARITIES:
         raise ParameterError(
@@ -1302,7 +1248,6 @@ def characterize_library(
             workers=workers,
             pool=pool,
             granularity=granularity,
-            vectorized=vectorized,
         )
     else:
 
@@ -1315,7 +1260,6 @@ def characterize_library(
                 checkpoint=checkpoint,
                 policy=policy,
                 isolate_errors=isolate_errors,
-                vectorized=vectorized,
             )
 
     for cell in cells:

@@ -267,7 +267,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 pool=pool_config,
                 granularity=args.granularity,
-                vectorized=not args.serial_fit,
             )
             text = library.to_text()
             if args.out:
@@ -975,13 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="log one line per characterised arc",
-    )
-    characterize.add_argument(
-        "--serial-fit",
-        action="store_true",
-        help="fit grid points one at a time instead of through the "
-        "batched EM path (bit-identical output either way; serial is "
-        "slower and exists for cross-checking)",
     )
     characterize.add_argument(
         "--checkpoint-gc",

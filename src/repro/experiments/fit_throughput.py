@@ -1,16 +1,17 @@
-"""Vectorized-fit throughput: batched EM vs the serial per-point loop.
+"""Grid-fit throughput: one stacked batch vs a per-point loop.
 
 Library characterisation fits four models per (slew, load) condition,
 so per-fit cost dominates the flow.  This experiment times the LVF2
-multi-start EM fit over a characterisation-shaped grid two ways — the
-original one-point-at-a-time Python loop and the stacked
-``(n_points, n_samples)`` batch of :meth:`LVF2Model.fit_batch` — and
-verifies the two produce bit-identical parameters, which is the
-batched path's load-bearing invariant.
+multi-start EM fit over a characterisation-shaped grid two ways — a
+one-point-at-a-time loop of :meth:`LVF2Model.fit` calls (each a batch
+of one) and one stacked ``(n_points, n_samples)`` call of
+:meth:`LVF2Model.fit_batch` — and verifies the two produce
+bit-identical parameters: a row's fit must not depend on the rows
+stacked with it.
 
 The two timings run under ``experiment=fit_serial`` / ``fit_batch``
 telemetry spans, so ``repro bench --json`` reports record them and the
-CI perf gate can assert the batch stays faster (see
+CI perf gate can assert the stacked batch stays faster (see
 :func:`repro.perf.compare.check_speedups`).
 """
 
@@ -31,12 +32,13 @@ __all__ = ["FitThroughputResult", "run_fit_throughput"]
 
 @dataclass(frozen=True)
 class FitThroughputResult:
-    """Timings of the serial and batched LVF2 grid fits.
+    """Timings of the per-point and stacked LVF2 grid fits.
 
     Attributes:
         n_points: Grid points fitted (one bimodal population each).
         n_samples: Monte-Carlo samples per point.
-        serial_seconds: Wall time of the per-point ``fit`` loop.
+        serial_seconds: Wall time of the per-point ``fit`` loop
+            (one batch of one per point).
         batch_seconds: Wall time of one ``fit_batch`` call.
         identical: Whether every point's fitted parameters matched
             bit-for-bit between the two paths.
@@ -50,7 +52,7 @@ class FitThroughputResult:
 
     @property
     def speedup(self) -> float:
-        """Serial wall time over batched wall time."""
+        """Per-point loop wall time over stacked-batch wall time."""
         if self.batch_seconds <= 0.0:
             return float("inf")
         return self.serial_seconds / self.batch_seconds
@@ -58,17 +60,17 @@ class FitThroughputResult:
     def to_text(self) -> str:
         return "\n".join(
             [
-                "Fit throughput — batched EM vs serial per-point loop",
+                "Fit throughput — stacked batch vs per-point loop",
                 f"  grid: {self.n_points} points x "
                 f"{self.n_samples} samples",
-                f"  serial loop : {self.serial_seconds:8.3f} s",
+                f"  point loop  : {self.serial_seconds:8.3f} s",
                 f"  fit_batch   : {self.batch_seconds:8.3f} s",
                 f"  speedup     : {self.speedup:8.2f}x",
                 "  parameters  : "
                 + (
                     "bit-identical"
                     if self.identical
-                    else "MISMATCH (vectorization broke exactness!)"
+                    else "MISMATCH (stacking broke exactness!)"
                 ),
             ]
         )
@@ -104,11 +106,12 @@ def run_fit_throughput(
     n_samples: int = 100,
     seed: int = 0,
 ) -> FitThroughputResult:
-    """Time the serial vs batched LVF2 fit over one synthetic grid.
+    """Time the per-point vs stacked LVF2 fit over one synthetic grid.
 
-    The serial loop runs first (under ``experiment=fit_serial``), the
-    batch second (``experiment=fit_batch``), both over the same stack;
-    the result records whether their fitted parameters agree exactly.
+    The per-point loop runs first (under ``experiment=fit_serial``),
+    the stacked batch second (``experiment=fit_batch``), both over the
+    same stack; the result records whether their fitted parameters
+    agree exactly.
     """
     stack = _grid_samples(n_points, n_samples, seed)
     with telemetry.span("experiment", experiment="fit_serial"):

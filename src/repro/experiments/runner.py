@@ -146,7 +146,7 @@ def run_all(
         yield_kwargs["repeats"] = yield_repeats
     with telemetry.span("experiment", experiment="yield_est"):
         yield_est = run_yield_study(**yield_kwargs)
-    reporter.info("fit_throughput: batched vs serial EM ...")
+    reporter.info("fit_throughput: stacked batch vs per-point EM ...")
     # No outer span: the experiment opens its own ``fit_serial`` /
     # ``fit_batch`` spans so the perf gate can compare the two sides.
     fit_kwargs: dict = {}

@@ -31,11 +31,10 @@ from repro.models.lvf import LVFModel, _lvf_from_moments_fast
 from repro.stats.em import (
     ComponentFamily,
     EMConfig,
-    EMResult,
-    concentric_initial,
-    fit_mixture_em,
+    _as_stack,
+    _single_row,
     fit_mixture_em_batch,
-    fit_mixture_em_multi,
+    fit_mixture_em_multistart,
 )
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary, _weighted_moments_rows
@@ -272,7 +271,9 @@ class LVF2Model(TimingModel):
         refine: str = "none",
         **kwargs: Any,
     ) -> "LVF2Model":
-        """Fit by EM (paper §3.2).
+        """Fit by multi-start EM (paper §3.2): a batch of one.
+
+        Runs :meth:`fit_batch` on the samples as its single row.
 
         Args:
             samples: Golden Monte-Carlo samples.
@@ -289,54 +290,13 @@ class LVF2Model(TimingModel):
             raise ParameterError(
                 f"refine must be 'none' or 'mle', got {refine!r}"
             )
-        # Multi-start EM: k-means and concentric seeds, plus a warm
-        # start from the Gaussian-mixture (Norm2) solution — skew-normal
-        # mixtures strictly generalise Gaussian ones, so starting on
-        # Norm2's basin guarantees LVF2 never loses to it in likelihood.
-        extra_initials = []
-        norm2_start = cls._norm2_warm_start(samples, config)
-        if norm2_start is not None:
-            extra_initials.append(norm2_start)
-        result = fit_mixture_em_multi(
-            samples,
-            SKEW_NORMAL_FAMILY,
-            n_components=2,
+        (model,) = cls.fit_batch(
+            _single_row(samples, "LVF2Model.fit", "LVF2Model.fit_batch"),
             config=config,
-            extra_initials=extra_initials,
         )
-        mixture = result.mixture
-        if mixture.n_components == 1:
-            model = cls(0.0, mixture.components[0], None)
-        else:
-            model = cls(
-                float(mixture.weights[1]),
-                mixture.components[0],
-                mixture.components[1],
-            )
         if refine == "mle" and not model.is_collapsed:
             model = model.refine_mle(samples)
         return model
-
-    @classmethod
-    def _norm2_warm_start(
-        cls, samples: np.ndarray, config: EMConfig | None
-    ) -> Mixture | None:
-        """Gaussian-EM solution recast as zero-skew SN components."""
-        from repro.models.norm2 import GAUSSIAN_FAMILY
-
-        try:
-            gaussian = fit_mixture_em(
-                samples, GAUSSIAN_FAMILY, n_components=2, config=config
-            )
-        except FittingError:
-            return None
-        if gaussian.mixture.n_components != 2:
-            return None
-        components = tuple(
-            LVFModel(component.mu, component.sigma, 0.0)
-            for component in gaussian.mixture.components
-        )
-        return Mixture(gaussian.mixture.weights, components)
 
     @classmethod
     def fit_batch(
@@ -348,14 +308,14 @@ class LVF2Model(TimingModel):
     ) -> "list[LVF2Model | Exception]":
         """Fit one LVF2 model per row of a ``(n_points, n_samples)`` stack.
 
-        Bit-identical to looping :meth:`fit` (with ``refine="none"``)
-        over the rows: the same multi-start schedule runs as three
-        batched EM sweeps — the Norm2 warm start, the k-means start and
-        the concentric start — and each row picks the first
-        highest-likelihood candidate in the serial candidate order
-        (k-means, concentric, warm).  Rows that error in an earlier
-        phase skip the later ones, exactly as the serial control flow
-        would.
+        Multi-start EM: a Norm2 (two-Gaussian) EM fit per row first,
+        recast as zero-skew components; then
+        :func:`~repro.stats.em.fit_mixture_em_multistart` over the
+        k-means start, the concentric start and that Norm2 warm start.
+        Skew-normal mixtures strictly generalise Gaussian ones, so
+        starting on Norm2's basin guarantees LVF2 never loses to it in
+        likelihood.  A Norm2 fit that raises :class:`FittingError` or
+        collapses means "no warm start"; any other error fails the row.
 
         Args:
             samples: Stacked observations, one grid point per row.
@@ -371,19 +331,10 @@ class LVF2Model(TimingModel):
 
         if errors not in ("raise", "capture"):
             raise ValueError(f"unknown errors mode: {errors!r}")
-        stack = np.asarray(samples, dtype=float)
-        if stack.ndim != 2:
-            raise FittingError(
-                "batched samples must be a 2-D (n_points, n_samples) "
-                f"array, got ndim={stack.ndim}"
-            )
-        stack = np.ascontiguousarray(stack)
+        stack = _as_stack(samples)
         n_points = stack.shape[0]
         results: "list[LVF2Model | Exception | None]" = [None] * n_points
 
-        # Phase 1 — Norm2 warm starts (serial order: computed before
-        # the skew-normal multi-start).  FittingError means "no warm
-        # start"; anything else fails the row like the serial path.
         warms: list[Mixture | None] = [None] * n_points
         gaussian_results = fit_mixture_em_batch(
             stack,
@@ -406,91 +357,22 @@ class LVF2Model(TimingModel):
                     for component in gaussian.mixture.components
                 )
                 warms[p] = Mixture(gaussian.mixture.weights, components)
-            except Exception as error:  # noqa: BLE001 — serial raise
+            except Exception as error:  # noqa: BLE001 — row error
                 results[p] = error
 
-        # Phase 2 — k-means-seeded EM.  An error here aborts the row
-        # before the other starts run (fit_mixture_em_multi raises out
-        # of its first fit).
-        candidates: dict[int, list[EMResult]] = {}
         live = [p for p in range(n_points) if results[p] is None]
-        for p, outcome in zip(
-            live,
-            fit_mixture_em_batch(
-                stack[np.asarray(live, dtype=np.intp)],
-                SKEW_NORMAL_FAMILY,
-                n_components=2,
-                config=config,
-                errors="capture",
-            )
-            if live
-            else [],
-        ):
-            if isinstance(outcome, Exception):
-                results[p] = outcome
-            else:
-                candidates[p] = [outcome]
-
-        # Phase 3 — concentric starts.
-        conc_initials: dict[int, Mixture] = {}
-        for p in [p for p in live if results[p] is None]:
-            try:
-                concentric = concentric_initial(
-                    stack[p], SKEW_NORMAL_FAMILY
-                )
-            except Exception as error:  # noqa: BLE001 — serial raise
-                results[p] = error
+        fits = fit_mixture_em_multistart(
+            stack[live],
+            SKEW_NORMAL_FAMILY,
+            n_components=2,
+            config=config,
+            extra_initials=[warms[p] for p in live],
+            errors="capture",
+        )
+        for p, best in zip(live, fits):
+            if isinstance(best, Exception):
+                results[p] = best
                 continue
-            if concentric is not None:
-                conc_initials[p] = concentric
-        conc_rows = [p for p in conc_initials if results[p] is None]
-        if conc_rows:
-            for p, outcome in zip(
-                conc_rows,
-                fit_mixture_em_batch(
-                    stack[np.asarray(conc_rows, dtype=np.intp)],
-                    SKEW_NORMAL_FAMILY,
-                    n_components=2,
-                    config=config,
-                    initials=[conc_initials[p] for p in conc_rows],
-                    errors="capture",
-                ),
-            ):
-                if isinstance(outcome, Exception):
-                    results[p] = outcome
-                else:
-                    candidates[p].append(outcome)
-
-        # Phase 4 — Norm2 warm starts as extra initials.
-        warm_rows = [
-            p
-            for p in live
-            if results[p] is None and warms[p] is not None
-        ]
-        if warm_rows:
-            for p, outcome in zip(
-                warm_rows,
-                fit_mixture_em_batch(
-                    stack[np.asarray(warm_rows, dtype=np.intp)],
-                    SKEW_NORMAL_FAMILY,
-                    n_components=2,
-                    config=config,
-                    initials=[warms[p] for p in warm_rows],
-                    errors="capture",
-                ),
-            ):
-                if isinstance(outcome, Exception):
-                    results[p] = outcome
-                else:
-                    candidates[p].append(outcome)
-
-        # First-max-wins over the serial candidate order.
-        for p in range(n_points):
-            if results[p] is not None:
-                continue
-            best = max(
-                candidates[p], key=lambda result: result.loglik
-            )
             mixture = best.mixture
             try:
                 if mixture.n_components == 1:
@@ -501,7 +383,7 @@ class LVF2Model(TimingModel):
                         mixture.components[0],
                         mixture.components[1],
                     )
-            except Exception as error:  # noqa: BLE001 — serial raise
+            except Exception as error:  # noqa: BLE001 — row error
                 results[p] = error
         if errors == "raise":
             for outcome in results:

@@ -18,7 +18,12 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.models.base import TimingModel, register_model
 from repro.models.gaussian import GaussianModel
-from repro.stats.em import ComponentFamily, EMConfig, fit_mixture_em_multi
+from repro.stats.em import (
+    ComponentFamily,
+    EMConfig,
+    _single_row,
+    fit_mixture_em_multistart,
+)
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary, _weighted_moments_rows
 from repro.stats.workspace import Workspace
@@ -141,8 +146,13 @@ class Norm2Model(TimingModel):
         Multi-start (k-means and concentric seeds), best likelihood
         wins.
         """
-        result = fit_mixture_em_multi(
-            samples, GAUSSIAN_FAMILY, n_components=2, config=config
+        (result,) = fit_mixture_em_multistart(
+            _single_row(
+                samples, "Norm2Model.fit", "fit_mixture_em_multistart"
+            ),
+            GAUSSIAN_FAMILY,
+            n_components=2,
+            config=config,
         )
         mixture = result.mixture
         if mixture.n_components == 1:

@@ -51,7 +51,8 @@ _MIN_GATED_SECONDS = 0.1
 #: ``min_ratio`` times the ``fast_key`` timing *within one report*.
 #: Unlike the baseline comparison, this needs no calibration: both
 #: timings come from the same machine and process.  The fit
-#: experiment measures 4.6-5.8x at its default grid; the gate floor
+#: experiment (one stacked batch against a per-point loop of batches
+#: of one) measures 4.6-5.8x at its default grid; the gate floor
 #: sits at the smoke scale (24 points x 200 samples), where the
 #: batch amortises less, and leaves headroom for scheduler noise.
 DEFAULT_SPEEDUP_GATES: tuple[tuple[str, str, float], ...] = (

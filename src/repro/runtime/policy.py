@@ -197,8 +197,8 @@ class FitPolicy:
         """Walk the ladder for many grid points, batching the first rung.
 
         When the first rung is ``LVF2``, all points are fitted up front
-        by :meth:`LVF2Model.fit_batch` — the vectorized multi-start EM
-        that is bit-identical to the serial fit — grouped by finite
+        by :meth:`LVF2Model.fit_batch` — the vectorized multi-start EM,
+        bit-identical to fitting each point alone — grouped by finite
         sample count so NaN-dropped points still batch together.  The
         generator then replays the ladder per point in serial order:
         fault-injection hooks fire exactly once per (point, rung) in

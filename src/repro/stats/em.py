@@ -5,14 +5,18 @@ Implements the fitting loop of paper §3.2: latent responsibilities
 initialised by k-means partitioning plus per-group method-of-moments
 estimates.  The driver is component-family agnostic: the same loop fits
 LVF2 (skew-normal components) and Norm2 (Gaussian components), the two
-mixture models compared in the paper.
+mixture models compared in the paper.  There is one engine,
+:func:`fit_mixture_em_batch`, which fits a stack of sample rows in
+lockstep; a scalar fit is a batch of one.
 
 The M-step is pluggable.  The default family implementations use
-weighted method-of-moments updates — a conditional-maximisation step
-that is fast, closed-form and stable; an optional weighted-MLE
-refinement (true M-step) is available on the model classes.  Both keep
-the observed-data log-likelihood (Eq. 5) non-decreasing in practice,
-which the test suite checks property-style.
+weighted method-of-moments updates — fast, closed-form and stable, but
+not an ascent step: the observed-data log-likelihood (Eq. 5) is not
+guaranteed to increase, and real fits do show decreasing steps.  The
+loop stops when the relative log-likelihood change falls below
+``EMConfig.tol`` or at ``max_iter``, and returns its last iterate.  An
+optional weighted-MLE refinement (``refine="mle"``) on the model
+classes polishes the result by direct likelihood ascent.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from repro.errors import ConvergenceWarningError, FittingError
 from repro.runtime import telemetry
 from repro.stats.kmeans import (
     KMeansResult,
-    kmeans_1d,
     kmeans_1d_batch,
     split_by_labels,
 )
@@ -42,7 +45,7 @@ __all__ = [
     "concentric_initial",
     "fit_mixture_em",
     "fit_mixture_em_batch",
-    "fit_mixture_em_multi",
+    "fit_mixture_em_multistart",
 ]
 
 
@@ -53,27 +56,25 @@ class ComponentFamily:
     Attributes:
         name: Family name for diagnostics ("skew-normal", "normal").
         fit: Unweighted fit used on the initial k-means groups.
-        fit_weighted: Weighted fit used in the M-step; receives all
-            samples plus that component's responsibilities.
-        logpdf_batch: Optional vectorized density — receives one
-            component per stacked row, the C-contiguous
-            ``(n_points, n_samples)`` data stack and a
-            :class:`~repro.stats.workspace.Workspace`, and returns
-            per-row log densities bit-identical to calling each
-            component's ``logpdf`` on its row.  The result may be a
-            workspace view (valid until the next call).  When absent,
-            :func:`fit_mixture_em_batch` falls back to the serial loop
-            per row.
-        fit_weighted_batch: Optional vectorized M-step — receives the
-            data stack, per-row responsibilities and the workspace,
-            and returns one fitted component (or the captured
-            exception) per row.
-            The components it returns may be lightweight stand-ins
-            (carrying just what ``logpdf_batch`` reads) as long as
-            ``realize`` can turn each one into the exact model the
-            serial ``fit_weighted`` would have produced.
+        fit_weighted: Weighted fit of one component — all samples
+            plus that component's responsibilities; the per-row
+            M-step that ``fit_weighted_batch`` must reproduce.
+        logpdf_batch: Vectorized density — receives one component
+            per stacked row, the C-contiguous ``(n_points, n_samples)``
+            data stack and a :class:`~repro.stats.workspace.Workspace`,
+            and returns per-row log densities bit-identical to calling
+            each component's ``logpdf`` on its row.  The result may be
+            a workspace view (valid until the next call).
+        fit_weighted_batch: Vectorized M-step — receives the data
+            stack, per-row responsibilities and the workspace, and
+            returns one fitted component (or the captured exception)
+            per row, each bit-identical to ``fit_weighted`` on that
+            row.  The components it returns may be lightweight
+            stand-ins (carrying just what ``logpdf_batch`` reads) as
+            long as ``realize`` can turn each one into the exact model
+            ``fit_weighted`` would have produced.
         realize: Optional finisher for ``fit_weighted_batch``
-            stand-ins — called on every component of a converged
+            stand-ins — called on every component of a finished
             mixture before it is returned.  ``None`` means the batch
             M-step already returns real components.
     """
@@ -81,12 +82,10 @@ class ComponentFamily:
     name: str
     fit: Callable[[np.ndarray], Any]
     fit_weighted: Callable[[np.ndarray, np.ndarray], Any]
-    logpdf_batch: (
-        Callable[[Sequence[Any], np.ndarray], np.ndarray] | None
-    ) = None
-    fit_weighted_batch: (
-        Callable[[np.ndarray, np.ndarray], list[Any]] | None
-    ) = None
+    logpdf_batch: Callable[[Sequence[Any], np.ndarray, Workspace], np.ndarray]
+    fit_weighted_batch: Callable[
+        [np.ndarray, np.ndarray, Workspace], list[Any]
+    ]
     realize: Callable[[Any], Any] | None = None
 
 
@@ -137,23 +136,6 @@ class EMResult:
     history: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _initial_mixture(
-    samples: np.ndarray,
-    family: ComponentFamily,
-    n_components: int,
-    config: EMConfig,
-) -> Mixture:
-    """K-means + per-group method-of-moments initialisation (§3.2)."""
-    with telemetry.span("kmeans.seed", n=int(samples.size)):
-        result = kmeans_1d(
-            samples,
-            n_components,
-            n_restarts=config.kmeans_restarts,
-            seed=config.seed,
-        )
-    return _initial_from_kmeans(samples, family, result)
-
-
 def _initial_from_kmeans(
     samples: np.ndarray,
     family: ComponentFamily,
@@ -188,6 +170,32 @@ def _collapse(
     return Mixture((1.0,), (family.fit(samples),))
 
 
+def _single_row(samples: np.ndarray, caller: str, batch: str) -> np.ndarray:
+    """One 1-D sample set as the one-row stack of a batch of one.
+
+    An accidental ``(n_points, n_samples)`` stack would otherwise be
+    fitted as a single garbage row; reject it loudly instead.
+    """
+    if np.ndim(samples) > 1:
+        raise FittingError(
+            f"{caller} expects 1-D samples, got "
+            f"ndim={np.ndim(samples)}; use {batch} for "
+            "stacked (n_points, n_samples) grids"
+        )
+    return np.asarray(samples, dtype=float).reshape(1, -1)
+
+
+def _as_stack(samples: np.ndarray) -> np.ndarray:
+    """Coerce a ``(n_points, n_samples)`` stack to C-contiguous floats."""
+    stack = np.asarray(samples, dtype=float)
+    if stack.ndim != 2:
+        raise FittingError(
+            "batched samples must be a 2-D (n_points, n_samples) "
+            f"array, got ndim={stack.ndim}"
+        )
+    return np.ascontiguousarray(stack)
+
+
 def fit_mixture_em(
     samples: np.ndarray,
     family: ComponentFamily,
@@ -197,6 +205,9 @@ def fit_mixture_em(
     initial: Mixture | Sequence[Any] | None = None,
 ) -> EMResult:
     """Fit an ``n_components`` mixture of ``family`` by EM.
+
+    A batch of one: the samples run as the single row of
+    :func:`fit_mixture_em_batch`, the one EM engine.
 
     Args:
         samples: 1-D observations (the 50k-sample MC population in the
@@ -217,148 +228,14 @@ def fit_mixture_em(
         ConvergenceWarningError: Only when
             ``config.require_convergence`` is set and the cap is hit.
     """
-    with telemetry.span(
-        "em.fit", family=family.name, n_components=n_components
-    ):
-        result = _fit_mixture_em_impl(
-            samples, family, n_components, config=config, initial=initial
-        )
-    telemetry.counter_inc("em.fits")
-    telemetry.observe("em.iterations", result.n_iter)
-    if result.collapsed:
-        telemetry.counter_inc("em.collapsed")
-    if not result.converged:
-        telemetry.counter_inc("em.nonconverged")
-    return result
-
-
-def _fit_mixture_em_impl(
-    samples: np.ndarray,
-    family: ComponentFamily,
-    n_components: int,
-    *,
-    config: EMConfig | None,
-    initial: Mixture | Sequence[Any] | None,
-) -> EMResult:
-    # An accidental (n_points, n_samples) stack would silently flatten
-    # in validate_samples and fit one garbage mixture to the whole
-    # grid; reject it loudly instead.
-    if np.ndim(samples) > 1:
-        raise FittingError(
-            "fit_mixture_em expects 1-D samples, got "
-            f"ndim={np.ndim(samples)}; use fit_mixture_em_batch for "
-            "stacked (n_points, n_samples) grids"
-        )
-    data = validate_samples(samples, minimum=max(16, 8 * n_components))
-    cfg = config or EMConfig()
-    if n_components < 1:
-        raise FittingError(f"n_components must be >= 1, got {n_components}")
-
-    if initial is None:
-        mixture = _initial_mixture(data, family, n_components, cfg)
-    elif isinstance(initial, Mixture):
-        mixture = initial
-    else:
-        count = len(initial)
-        mixture = Mixture(
-            tuple(1.0 / count for _ in range(count)), tuple(initial)
-        )
-
-    collapsed = mixture.n_components < n_components
-    if mixture.n_components == 1:
-        single = _collapse(data, family)
-        return EMResult(
-            single, single.loglik(data), 0, True, collapsed=True
-        )
-
-    def _log_rows(current: Mixture) -> np.ndarray:
-        """Per-component weighted log densities (one pass per iter)."""
-        import math
-
-        rows = np.full((current.n_components, data.size), -np.inf)
-        for row, (weight, component) in enumerate(
-            zip(current.weights, current.components)
-        ):
-            if weight > 0.0:
-                rows[row] = math.log(weight) + component.logpdf(data)
-        return rows
-
-    history: list[float] = []
-    log_rows = _log_rows(mixture)
-    # np.logaddexp.reduce: same math as scipy's logsumexp with far
-    # less per-call overhead (this loop is the fitting hot path).  The
-    # normaliser of the log-likelihood pass is also the next E-step's.
-    log_norm = np.logaddexp.reduce(log_rows, axis=0)
-    loglik = float(np.sum(log_norm))
-    converged = False
-    iteration = 0
-    for iteration in range(1, cfg.max_iter + 1):
-        responsibilities = np.exp(log_rows - log_norm)
-        weights = responsibilities.mean(axis=1)
-
-        if np.any(weights < cfg.min_weight):
-            keep = weights >= cfg.min_weight
-            if int(keep.sum()) <= 1:
-                single = _collapse(data, family)
-                return EMResult(
-                    single,
-                    single.loglik(data),
-                    iteration,
-                    True,
-                    collapsed=True,
-                    history=tuple(history),
-                )
-            responsibilities = responsibilities[keep]
-            responsibilities = responsibilities / responsibilities.sum(
-                axis=0, keepdims=True
-            )
-            weights = responsibilities.mean(axis=1)
-            mixture = Mixture(
-                tuple(weights / weights.sum()),
-                tuple(
-                    component
-                    for flag, component in zip(keep, mixture.components)
-                    if flag
-                ),
-            )
-            collapsed = True
-
-        new_components: list[Any] = []
-        for row, component in enumerate(mixture.components):
-            try:
-                new_components.append(
-                    family.fit_weighted(data, responsibilities[row])
-                )
-            except FittingError:
-                # Keep the previous estimate if the weighted update is
-                # degenerate for this iteration.
-                new_components.append(component)
-        weights = weights / weights.sum()
-        mixture = Mixture(tuple(weights), tuple(new_components))
-
-        log_rows = _log_rows(mixture)
-        log_norm = np.logaddexp.reduce(log_rows, axis=0)
-        new_loglik = float(np.sum(log_norm))
-        history.append(new_loglik)
-        if abs(new_loglik - loglik) <= cfg.tol * (abs(loglik) + 1e-12):
-            loglik = new_loglik
-            converged = True
-            break
-        loglik = new_loglik
-
-    if not converged and cfg.require_convergence:
-        raise ConvergenceWarningError(
-            f"EM did not converge in {cfg.max_iter} iterations "
-            f"(last loglik {loglik:.6g})"
-        )
-    return EMResult(
-        mixture.sorted_by_mean(),
-        loglik,
-        iteration,
-        converged,
-        collapsed=collapsed,
-        history=tuple(history),
+    (result,) = fit_mixture_em_batch(
+        _single_row(samples, "fit_mixture_em", "fit_mixture_em_batch"),
+        family,
+        n_components,
+        config=config,
+        initials=[initial],
     )
+    return result
 
 
 #: Bytes of one ``(rows, n_components, n_samples)`` float64 stack in a
@@ -385,33 +262,35 @@ def fit_mixture_em_batch(
 ) -> list[EMResult | Exception]:
     """Fit one mixture per row of a ``(n_points, n_samples)`` stack.
 
-    Bit-identical to looping :func:`fit_mixture_em` over the rows: the
-    E-step (log densities, responsibilities, weights) and the weighted
-    M-step moments run as batched numpy over every still-iterating row,
-    with all reductions along the last axis of C-contiguous stacks so
-    numpy's summation order matches the serial 1-D reductions exactly.
-    Rows that satisfy the convergence criterion freeze and are
-    compacted out while stragglers keep iterating.
+    The EM engine: every fit, scalar ones included (as a batch of
+    one), runs here.  The E-step (log densities, responsibilities,
+    weights) and the weighted M-step moments run as batched numpy over
+    every still-iterating row, with all reductions along the last axis
+    of C-contiguous stacks, so each row's result is bit-identical to
+    fitting that row alone.  Rows that satisfy the convergence
+    criterion freeze and are compacted out while stragglers keep
+    iterating.
 
-    Any row that leaves the common lockstep path — k-means init that
-    produced fewer components, a ``min_weight`` collapse, a non-
-    :class:`FittingError` from the weighted update, non-finite weights
-    — is *ejected*: recomputed through the serial implementation from
-    its already-built initial mixture, which reproduces the serial
-    result (and the serial exception) exactly.  Families without the
-    batch hooks run every row through the serial path.
+    Every row stays in lockstep until it finishes.  A row with fewer
+    live components than its lanes — a k-means split that seeded too
+    few, or a component pruned below ``min_weight`` — carries dead
+    lanes (see :func:`_lockstep_block`); a row that collapses to one
+    component gets the single-component fit; a row whose M-step or
+    mixture update raises anything but :class:`FittingError` keeps
+    that exception as its result.
 
     Args:
         samples: 2-D stack, one row of observations per grid point.
-        family: Component family (needs ``logpdf_batch`` /
-            ``fit_weighted_batch`` for the vectorized path).
+        family: Component family (its ``logpdf_batch`` /
+            ``fit_weighted_batch`` hooks drive the loop).
         n_components: Mixture size per row.
         config: Loop configuration shared by all rows.
-        initials: Optional per-row warm starts, same convention as the
-            serial ``initial`` argument; ``None`` entries k-means-seed.
+        initials: Optional per-row warm starts — a ready mixture or a
+            sequence of components (equal initial weights); ``None``
+            entries k-means-seed.
         errors: ``"raise"`` re-raises the first failing row's error in
-            row order (serial-loop semantics); ``"capture"`` returns
-            the exception in that row's slot.
+            row order; ``"capture"`` returns the exception in that
+            row's slot.
 
     Returns:
         One :class:`EMResult` per row, with captured exceptions
@@ -419,13 +298,7 @@ def fit_mixture_em_batch(
     """
     if errors not in ("raise", "capture"):
         raise ValueError(f"unknown errors mode: {errors!r}")
-    stack = np.asarray(samples, dtype=float)
-    if stack.ndim != 2:
-        raise FittingError(
-            "batched samples must be a 2-D (n_points, n_samples) "
-            f"array, got ndim={stack.ndim}"
-        )
-    stack = np.ascontiguousarray(stack)
+    stack = _as_stack(samples)
     cfg = config or EMConfig()
     n_points = stack.shape[0]
     if initials is None:
@@ -447,7 +320,7 @@ def fit_mixture_em_batch(
         family=family.name,
         n_components=n_components,
         n_points=n_points,
-        blocks=-(-n_points // block_rows),
+        blocks=len(range(0, n_points, block_rows)),
         block_rows=block_rows,
     ):
         _fit_mixture_em_batch_impl(
@@ -484,20 +357,7 @@ def _fit_mixture_em_batch_impl(
     n_points, n_samples = stack.shape
     minimum = max(16, 8 * n_components)
 
-    def _eject(p: int, initial: Mixture) -> None:
-        """Replay a row through the serial path from its built initial."""
-        try:
-            results[p] = _fit_mixture_em_impl(
-                stack[p],
-                family,
-                n_components,
-                config=cfg,
-                initial=initial,
-            )
-        except Exception as error:  # captured; re-raised by the caller
-            results[p] = error
-
-    # --- per-row validation, mirroring the serial entry checks -------
+    # --- per-row validation ------------------------------------------
     active: list[int] = []
     for p in range(n_points):
         try:
@@ -529,7 +389,7 @@ def _fit_mixture_em_batch_impl(
             )
         seed_results = dict(zip(need_seed, batch))
     mixtures: dict[int, Mixture] = {}
-    still: list[int] = []
+    batch_rows: list[int] = []
     for p in active:
         initial = initial_list[p]
         try:
@@ -537,68 +397,49 @@ def _fit_mixture_em_batch_impl(
                 seeded = seed_results[p]
                 if isinstance(seeded, Exception):
                     raise seeded
-                mixtures[p] = _initial_from_kmeans(
-                    stack[p], family, seeded
-                )
+                mixture = _initial_from_kmeans(stack[p], family, seeded)
             elif isinstance(initial, Mixture):
-                mixtures[p] = initial
+                mixture = initial
             else:
                 count = len(initial)
-                mixtures[p] = Mixture(
+                mixture = Mixture(
                     tuple(1.0 / count for _ in range(count)),
                     tuple(initial),
                 )
+            if mixture.n_components == 1:
+                # Nothing to iterate: the single-component fit.
+                single = _collapse(stack[p], family)
+                results[p] = EMResult(
+                    single, single.loglik(stack[p]), 0, True, collapsed=True
+                )
+                continue
         except Exception as error:
             results[p] = error
             continue
-        still.append(p)
-
-    # --- trivial / off-lockstep rows ---------------------------------
-    batch_rows: list[int] = []
-    for p in still:
-        mixture = mixtures[p]
-        if mixture.n_components == 1:
-            try:
-                single = _collapse(stack[p], family)
-                results[p] = EMResult(
-                    single,
-                    single.loglik(stack[p]),
-                    0,
-                    True,
-                    collapsed=True,
-                )
-            except Exception as error:
-                results[p] = error
-            continue
-        if mixture.n_components != n_components:
-            _eject(p, mixture)
-            continue
+        mixtures[p] = mixture
         batch_rows.append(p)
 
     if not batch_rows:
-        return
-    if family.logpdf_batch is None or family.fit_weighted_batch is None:
-        for p in batch_rows:
-            _eject(p, mixtures[p])
         return
 
     # --- lockstep E/M loop, one block of stack rows at a time ---------
     # Rows are independent, so the split cannot change any row's
     # result; it keeps each block's stacks cache-sized and lets one
-    # workspace serve every block and iteration.
-    workspace = Workspace(
-        min(block_rows, len(batch_rows)) * n_components, n_samples
+    # workspace serve every block and iteration.  Every row is ``width``
+    # lanes wide: a row seeded with fewer components pads dead lanes.
+    width = max(
+        n_components, max(mixtures[p].n_components for p in batch_rows)
     )
-    ejected: list[int] = []
+    workspace = Workspace(
+        min(block_rows, len(batch_rows)) * width, n_samples
+    )
     for start in range(0, n_points, block_rows):
         block = [p for p in batch_rows if start <= p < start + block_rows]
         if block:
             _lockstep_block(
-                stack, block, mixtures, family, n_components, cfg,
-                workspace, results, ejected,
+                stack, block, mixtures, family, n_components, width, cfg,
+                workspace, results,
             )
-    for p in sorted(ejected):
-        _eject(p, mixtures[p])
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
@@ -619,31 +460,42 @@ def _lockstep_block(
     mixtures: dict[int, Mixture],
     family: ComponentFamily,
     n_components: int,
+    width: int,
     cfg: EMConfig,
     workspace: Workspace,
     results: list[EMResult | Exception | None],
-    ejected: list[int],
 ) -> None:
     """Run the lockstep E/M loop over the stack rows ``rows``.
 
-    Rows that finish in lockstep get their ``results`` slot; rows that
-    leave the common path are appended to ``ejected`` for serial
-    replay.  The ``(rows, n_components, n_samples)`` stacks live in
-    ``workspace`` and are filled in place; the ``a``-th live row is
-    always the ``a``-th leading row, so every reduction runs over a
-    C-contiguous leading-row view (DESIGN §14).
+    Every row finishes here: its ``results`` slot gets an
+    :class:`EMResult` or the exception its fit raised.  The
+    ``(rows, width, n_samples)`` stacks live in ``workspace`` and are
+    filled in place; the ``a``-th live row is always the ``a``-th
+    leading row, so every reduction runs over a C-contiguous
+    leading-row view (DESIGN §14).
+
+    A row's mixture holds only its live components, in its leading
+    lanes; the remaining lanes are dead.  A dead lane has weight
+    exactly 0, so its log row is all ``-inf``: it leaves the
+    normaliser unchanged (``logaddexp(x, -inf) == x``), its
+    responsibility and weight are 0 (``x + 0.0 == x`` in the weight
+    sum), and its M-step update is discarded.  The live lanes
+    therefore compute exactly what a fit of just the live components
+    computes.  (Where the normaliser itself is ``-inf`` every lane's
+    weight is NaN, live ones included, as in a fit of the live
+    components alone.)
     """
     import math
 
     logpdf_batch = family.logpdf_batch
     fit_weighted_batch = family.fit_weighted_batch
     n_samples = stack.shape[1]
-    shape = (len(rows), n_components, n_samples)
-    # Component-interleaved layout: row ``a * K + k`` of the 2-D views
-    # is (point ``a``, component ``k``), so both the density and the
+    shape = (len(rows), width, n_samples)
+    # Component-interleaved layout: row ``a * width + k`` of the 2-D
+    # views is (point ``a``, lane ``k``), so both the density and the
     # M-step calls see one flat stack and compaction moves whole
     # points.
-    flat_rows = len(rows) * n_components
+    flat_rows = len(rows) * width
     data = workspace.take("em.data", flat_rows).reshape(shape)
     log_rows = workspace.take("em.log_rows", flat_rows).reshape(shape)
     responsibilities = workspace.take(
@@ -656,26 +508,35 @@ def _lockstep_block(
     def _log_rows(mixture_list: list[Mixture]) -> np.ndarray:
         """Fill the live log rows and normaliser; return the logliks.
 
-        ``math.log(weight)`` is the serial scalar constant and the
-        broadcast add is elementwise, hence lane-identical to the
-        serial per-row ``log(w) + logpdf`` add.  The normaliser is the
-        same sequential left fold over components the serial axis=0
-        reduce performs; the outer sum is pairwise per contiguous row.
-        It is kept for the next E-step, which needs exactly it.
+        ``math.log(weight)`` is a scalar constant and the broadcast add
+        is elementwise, hence lane-identical to a per-component
+        ``log(w) + logpdf`` add.  The normaliser is a sequential left
+        fold over the lanes; the outer sum is pairwise per contiguous
+        row.  It is kept for the next E-step, which needs exactly it.
         """
         alive = len(mixture_list)
-        weights = [w for m in mixture_list for w in m.weights]
+        weights: list[float] = []
+        components: list[Any] = []
+        for mixture in mixture_list:
+            weights.extend(mixture.weights)
+            components.extend(mixture.components)
+            dead = width - mixture.n_components
+            if dead:
+                # Any live component fills a dead lane's density; the
+                # zero weight overwrites it with -inf below.
+                weights.extend([0.0] * dead)
+                components.extend(mixture.components[:1] * dead)
         densities = logpdf_batch(
-            [c for m in mixture_list for c in m.components],
-            data[:alive].reshape(alive * n_components, n_samples),
+            components,
+            data[:alive].reshape(alive * width, n_samples),
             workspace,
         )
         consts = np.array([math.log(w) if w > 0.0 else 0.0 for w in weights])
-        flat = log_rows[:alive].reshape(alive * n_components, n_samples)
+        flat = log_rows[:alive].reshape(alive * width, n_samples)
         np.add(consts[:, None], densities, out=flat)
         if not all(w > 0.0 for w in weights):
-            # A zero-weight component contributes nothing (serial: its
-            # row stays at -inf).
+            # A zero-weight component contributes nothing: its row
+            # stays at -inf.
             flat[[i for i, w in enumerate(weights) if not w > 0.0]] = -np.inf
         norm = log_norm[:alive]
         np.logaddexp.reduce(log_rows[:alive], axis=1, out=norm)
@@ -692,8 +553,34 @@ def _lockstep_block(
 
     mixtures_c = [mixtures[p] for p in rows]
     idx_c = list(rows)
+    collapsed_c = [mixtures[p].n_components < n_components for p in rows]
     histories: dict[int, list[float]] = {p: [] for p in rows}
     logliks = _log_rows(mixtures_c)
+
+    def _retire(done: np.ndarray, *stacks: np.ndarray) -> None:
+        """Drop the finished rows ``done`` from every per-row state."""
+        nonlocal logliks, idx_c, mixtures_c, collapsed_c
+        keep = ~done
+        _compact(keep, *stacks)
+        logliks = logliks[keep]
+        flags = keep.tolist()
+        idx_c = [p for p, flag in zip(idx_c, flags) if flag]
+        mixtures_c = [m for m, flag in zip(mixtures_c, flags) if flag]
+        collapsed_c = [c for c, flag in zip(collapsed_c, flags) if flag]
+
+    def _finish(a: int, iteration: int, converged: bool, loglik: float):
+        p = idx_c[a]
+        try:
+            results[p] = EMResult(
+                _realized(mixtures_c[a]).sorted_by_mean(),
+                loglik,
+                iteration,
+                converged,
+                collapsed=collapsed_c[a],
+                history=tuple(histories[p]),
+            )
+        except Exception as error:  # captured; re-raised by the caller
+            results[p] = error
 
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
@@ -704,84 +591,110 @@ def _lockstep_block(
         np.subtract(log_rows[:alive], log_norm[:alive, None, :], out=resp)
         np.exp(resp, out=resp)
         weights_c = resp.mean(axis=2)
+        low = weights_c < cfg.min_weight
+        for a, mixture in enumerate(mixtures_c):
+            # Dead lanes weigh 0 and are never pruned again.
+            low[a, mixture.n_components :] = False
 
-        # Rows that would prune a component (or produced non-finite
-        # weights) leave the lockstep path; the serial replay applies
-        # the exact collapse/pruning semantics.
-        off_path = np.any(weights_c < cfg.min_weight, axis=1) | ~np.all(
-            np.isfinite(weights_c), axis=1
-        )
-        if np.any(off_path):
-            for a in np.nonzero(off_path)[0]:
-                ejected.append(idx_c[a])
-            keep = ~off_path
-            _compact(keep, data, responsibilities)
-            weights_c = weights_c[keep]
-            logliks = logliks[keep]
-            idx_c = [i for i, flag in zip(idx_c, keep) if flag]
-            mixtures_c = [
-                m for m, flag in zip(mixtures_c, keep) if flag
-            ]
-            if not mixtures_c:
-                break
-            alive = len(mixtures_c)
+        # A component below ``min_weight`` is pruned from its row: the
+        # row renormalises the survivors' responsibilities and goes on
+        # with one more dead lane, or collapses to one component.
+        pruning = np.flatnonzero(low.any(axis=1)).tolist()
+        if pruning:
+            done = np.zeros(alive, dtype=bool)
+            for a in pruning:
+                p = idx_c[a]
+                mixture = mixtures_c[a]
+                count = mixture.n_components
+                keep = weights_c[a, :count] >= cfg.min_weight
+                try:
+                    if int(keep.sum()) <= 1:
+                        single = _collapse(stack[p], family)
+                        results[p] = EMResult(
+                            single,
+                            single.loglik(stack[p]),
+                            iteration,
+                            True,
+                            collapsed=True,
+                            history=tuple(histories[p]),
+                        )
+                        done[a] = True
+                        continue
+                    kept = resp[a, :count][keep]
+                    kept = kept / kept.sum(axis=0, keepdims=True)
+                    weights = kept.mean(axis=1)
+                    mixtures_c[a] = Mixture(
+                        tuple(weights / weights.sum()),
+                        tuple(
+                            component
+                            for flag, component in zip(
+                                keep, mixture.components
+                            )
+                            if flag
+                        ),
+                    )
+                except Exception as error:  # captured per row
+                    results[p] = error
+                    done[a] = True
+                    continue
+                resp[a, : weights.size] = kept
+                weights_c[a, : weights.size] = weights
+                weights_c[a, weights.size :] = 0.0
+                collapsed_c[a] = True
+            if done.any():
+                weights_c = weights_c[~done]
+                _retire(done, data, responsibilities)
+                if not mixtures_c:
+                    break
+                alive = len(mixtures_c)
 
-        # One weighted-moment call over all (row, component) pairs:
-        # every row of the flat stack is an independent lane/row-
-        # reduction computation, so each pair's update is bit-identical
-        # to a per-component call.
+        # One weighted-moment call over all (row, lane) pairs: every
+        # row of the flat stack is an independent lane/row-reduction
+        # computation, so each pair's update is bit-identical to a
+        # per-component call.
         updates = fit_weighted_batch(
-            data[:alive].reshape(alive * n_components, n_samples),
-            responsibilities[:alive].reshape(alive * n_components, n_samples),
+            data[:alive].reshape(alive * width, n_samples),
+            responsibilities[:alive].reshape(alive * width, n_samples),
             workspace,
         )
-        # One batched normalize replaces the serial per-point
-        # ``weights / weights.sum()``: the last-axis row reduce of the
-        # C-contiguous (A, K) array is the same sequential/pairwise sum
-        # as the serial 1-D ``sum()``, and the broadcast divide is
-        # elementwise, so each row is bit-identical.
+        # One batched normalize: the last-axis row reduce of the
+        # C-contiguous (A, width) array is the same sequential/pairwise
+        # sum as a 1-D ``sum()`` of the row, and the broadcast divide
+        # is elementwise, so each row is bit-identical to
+        # ``weights / weights.sum()``.
         norm_weights = (
             weights_c / weights_c.sum(axis=1)[:, None]
         ).tolist()
-        new_mixtures: list[Mixture | None] = []
-        off_mask = np.zeros(alive, dtype=bool)
-        for a in range(alive):
+        done = np.zeros(alive, dtype=bool)
+        for a, mixture in enumerate(mixtures_c):
+            count = mixture.n_components
             components: list[Any] = []
-            for k in range(n_components):
-                update = updates[a * n_components + k]
+            failure: Exception | None = None
+            for k in range(count):
+                update = updates[a * width + k]
                 if isinstance(update, FittingError):
-                    # Serial semantics: keep the previous estimate when
-                    # the weighted update is degenerate this iteration.
-                    components.append(mixtures_c[a].components[k])
+                    # A degenerate weighted update keeps the previous
+                    # estimate for this iteration.
+                    components.append(mixture.components[k])
                 elif isinstance(update, Exception):
-                    off_mask[a] = True
+                    failure = update
                     break
                 else:
                     components.append(update)
-            if off_mask[a]:
-                new_mixtures.append(None)
-                continue
-            try:
-                new_mixtures.append(
-                    Mixture(tuple(norm_weights[a]), tuple(components))
-                )
-            except Exception:
-                off_mask[a] = True
-                new_mixtures.append(None)
-        if np.any(off_mask):
-            for a in np.nonzero(off_mask)[0]:
-                ejected.append(idx_c[a])
-            keep = ~off_mask
-            _compact(keep, data)
-            logliks = logliks[keep]
-            idx_c = [i for i, flag in zip(idx_c, keep) if flag]
-            mixtures_c = [
-                m for m, flag in zip(new_mixtures, keep) if flag
-            ]
-        else:
-            mixtures_c = [m for m in new_mixtures if m is not None]
-        if not mixtures_c:
-            break
+            if failure is None:
+                try:
+                    mixtures_c[a] = Mixture(
+                        tuple(norm_weights[a][:count]), tuple(components)
+                    )
+                except Exception as error:  # captured per row
+                    failure = error
+            if failure is not None:
+                results[idx_c[a]] = failure
+                done[a] = True
+        if done.any():
+            _retire(done, data)
+            if not mixtures_c:
+                break
 
         new_logliks = _log_rows(mixtures_c)
         # ``tolist`` converts each element exactly like ``float(x[a])``
@@ -794,26 +707,9 @@ def _lockstep_block(
         )
         logliks = new_logliks
         if np.any(conv):
-            for a in np.nonzero(conv)[0]:
-                p = idx_c[a]
-                try:
-                    results[p] = EMResult(
-                        _realized(mixtures_c[a]).sorted_by_mean(),
-                        new_logliks_l[a],
-                        iteration,
-                        True,
-                        collapsed=False,
-                        history=tuple(histories[p]),
-                    )
-                except Exception:
-                    ejected.append(p)
-            keep = ~conv
-            _compact(keep, data, log_rows, log_norm)
-            logliks = logliks[keep]
-            idx_c = [i for i, flag in zip(idx_c, keep) if flag]
-            mixtures_c = [
-                m for m, flag in zip(mixtures_c, keep) if flag
-            ]
+            for a in np.flatnonzero(conv).tolist():
+                _finish(a, iteration, True, new_logliks_l[a])
+            _retire(conv, data, log_rows, log_norm)
 
     # --- max_iter exhausted: non-converged leftovers -----------------
     for a, p in enumerate(idx_c):
@@ -823,17 +719,7 @@ def _lockstep_block(
                 f"(last loglik {float(logliks[a]):.6g})"
             )
             continue
-        try:
-            results[p] = EMResult(
-                _realized(mixtures_c[a]).sorted_by_mean(),
-                float(logliks[a]),
-                iteration,
-                False,
-                collapsed=False,
-                history=tuple(histories[p]),
-            )
-        except Exception:
-            ejected.append(p)
+        _finish(a, iteration, False, float(logliks[a]))
 
 
 def concentric_initial(
@@ -865,47 +751,100 @@ def concentric_initial(
     return Mixture((inner_mass, 1.0 - inner_mass), components)
 
 
-def fit_mixture_em_multi(
+def fit_mixture_em_multistart(
     samples: np.ndarray,
     family: ComponentFamily,
     n_components: int = 2,
     *,
     config: EMConfig | None = None,
-    extra_initials: Sequence[Mixture] = (),
-) -> EMResult:
-    """Multi-start EM: k-means, concentric, and caller-supplied starts.
+    extra_initials: Sequence[Mixture | None] | None = None,
+    errors: str = "raise",
+) -> list[EMResult | Exception]:
+    """Multi-start EM per row: k-means, concentric, then a caller start.
 
-    Runs :func:`fit_mixture_em` from every viable initialisation and
-    returns the highest-likelihood result.  This is what makes LVF2
-    dominate Norm2 on the paper's Minor Saddle / Kurtosis scenarios,
-    where the default k-means basin is not the global one.
+    Each row of the ``(n_points, n_samples)`` stack is fitted from its
+    k-means seed, then (for two components) from its
+    :func:`concentric_initial` seed, then from its ``extra_initials``
+    entry when that is not ``None``; the row keeps the first start
+    with the highest likelihood, in that order.  This is what makes
+    LVF2 dominate Norm2 on the paper's Minor Saddle / Kurtosis
+    scenarios, where the default k-means basin is not the global one.
+
+    Each start is one :func:`fit_mixture_em_batch` sweep over the rows
+    that reach it; a row whose fit raises keeps that error and skips
+    its later starts.
+
+    Args:
+        samples: 2-D stack, one row of observations per point.
+        family: Component family.
+        n_components: Mixture size per row.
+        config: Loop configuration shared by every start.
+        extra_initials: Optional per-row extra start (or ``None``).
+        errors: ``"raise"`` re-raises the first failing row's error in
+            row order; ``"capture"`` returns it in that row's slot.
+
+    Returns:
+        One best :class:`EMResult` (or captured exception) per row.
     """
-    if np.ndim(samples) > 1:
+    if errors not in ("raise", "capture"):
+        raise ValueError(f"unknown errors mode: {errors!r}")
+    stack = _as_stack(samples)
+    n_points = stack.shape[0]
+    extras = (
+        [None] * n_points if extra_initials is None else list(extra_initials)
+    )
+    if len(extras) != n_points:
         raise FittingError(
-            "fit_mixture_em_multi expects 1-D samples, got "
-            f"ndim={np.ndim(samples)}; use fit_mixture_em_batch for "
-            "stacked (n_points, n_samples) grids"
+            f"extra_initials length {len(extras)} does not match "
+            f"{n_points} rows"
         )
-    data = validate_samples(samples, minimum=max(16, 8 * n_components))
-    results = [
-        fit_mixture_em(data, family, n_components, config=config)
-    ]
+    results: list[EMResult | Exception | None] = [None] * n_points
+    candidates: list[list[EMResult]] = [[] for _ in range(n_points)]
+
+    def sweep(starts: dict[int, Mixture | None]) -> None:
+        rows = list(starts)
+        if not rows:
+            return
+        outcomes = fit_mixture_em_batch(
+            stack if len(rows) == n_points else stack[rows],
+            family,
+            n_components,
+            config=config,
+            initials=list(starts.values()),
+            errors="capture",
+        )
+        for p, outcome in zip(rows, outcomes):
+            if isinstance(outcome, Exception):
+                results[p] = outcome
+            else:
+                candidates[p].append(outcome)
+
+    sweep(dict.fromkeys(range(n_points)))
     if n_components == 2:
-        concentric = concentric_initial(data, family)
-        if concentric is not None:
-            results.append(
-                fit_mixture_em(
-                    data,
-                    family,
-                    n_components,
-                    config=config,
-                    initial=concentric,
-                )
-            )
-    for initial in extra_initials:
-        results.append(
-            fit_mixture_em(
-                data, family, n_components, config=config, initial=initial
-            )
-        )
-    return max(results, key=lambda result: result.loglik)
+        concentric: dict[int, Mixture | None] = {}
+        for p in range(n_points):
+            if results[p] is not None:
+                continue
+            try:
+                start = concentric_initial(stack[p], family)
+            except Exception as error:  # captured per row
+                results[p] = error
+                continue
+            if start is not None:
+                concentric[p] = start
+        sweep(concentric)
+    sweep(
+        {
+            p: start
+            for p, start in enumerate(extras)
+            if start is not None and results[p] is None
+        }
+    )
+    for p in range(n_points):
+        if results[p] is None:
+            results[p] = max(candidates[p], key=lambda result: result.loglik)
+    if errors == "raise":
+        for outcome in results:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return results  # type: ignore[return-value]

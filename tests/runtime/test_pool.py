@@ -157,8 +157,11 @@ class TestWorkerDeath:
     def test_killed_worker_is_respawned_and_run_completes(self, store):
         items = make_items(6, task=killable_task)
         plan = FaultPlan([FaultRule(kind="kill", after_arcs=1)])
+        # Both workers carry the plan: whichever completes an arc first
+        # dies, so the kill cannot be dodged by the other worker
+        # draining every item first.
         result = run_pool(
-            items, store, config(fault_plans={0: plan})
+            items, store, config(fault_plans={0: plan, 1: plan})
         )
         assert EXIT_KILLED in result.exit_codes
         assert result.exit_families.get("injected-kill", 0) >= 1

@@ -61,7 +61,6 @@ def characterize(
     pool=None,
     granularity="pin",
     checkpoint=None,
-    vectorized=True,
 ):
     engine, cells, config = make_engine_and_cells()
     report = FitReport()
@@ -76,7 +75,6 @@ def characterize(
         pool=pool,
         granularity=granularity,
         checkpoint=checkpoint,
-        vectorized=vectorized,
     )
     return library.to_text(), json.dumps(report.to_dict(), sort_keys=True)
 
@@ -139,23 +137,6 @@ class TestRandomizedIdentity:
             store.directory, timeout=pool.claim_timeout
         )
         assert claims.scan(live_only=True) == ()
-
-
-class TestVectorizationIdentity:
-    """The batched fit path is a pure optimisation: switching it off
-    (``--serial-fit``) must not change a byte, serial or pooled."""
-
-    def test_serial_fit_matches_vectorized_serial(self, serial):
-        assert characterize(vectorized=False) == serial
-
-    def test_serial_fit_matches_vectorized_pooled(self, serial):
-        pool = PoolConfig(
-            n_workers=2, seed=23, merge_traces=False, claim_timeout=60.0
-        )
-        result = characterize(
-            workers=2, pool=pool, vectorized=False
-        )
-        assert result == serial
 
 
 class TestGridKillAndResume:

@@ -13,10 +13,11 @@ from repro.stats.em import (
     EMConfig,
     concentric_initial,
     fit_mixture_em,
-    fit_mixture_em_multi,
+    fit_mixture_em_multistart,
 )
 from repro.stats.mixtures import Mixture
 from repro.stats.skew_normal import SkewNormal
+from tests.stats import serial_em_reference as reference
 
 
 class TestFitMixtureEM:
@@ -86,6 +87,10 @@ class TestFitMixtureEM:
         )
         assert result.mixture.n_components == 2
 
+    def test_rejects_stacked_samples(self):
+        with pytest.raises(FittingError, match="ndim=2"):
+            fit_mixture_em(np.zeros((2, 40)), GAUSSIAN_FAMILY, 2)
+
     def test_requires_enough_samples(self):
         with pytest.raises(FittingError):
             fit_mixture_em(np.arange(5.0), GAUSSIAN_FAMILY, 2)
@@ -128,8 +133,13 @@ class TestMultiStart:
             [rng.normal(0, 0.3, 3000), rng.normal(0.02, 1.5, 1500)]
         )
         plain = fit_mixture_em(samples, GAUSSIAN_FAMILY, 2)
-        multi = fit_mixture_em_multi(samples, GAUSSIAN_FAMILY, 2)
+        (multi,) = fit_mixture_em_multistart(
+            samples[None], GAUSSIAN_FAMILY, 2
+        )
         assert multi.loglik >= plain.loglik - 1e-6
+        serial = reference.fit_mixture_em_multi(samples, GAUSSIAN_FAMILY, 2)
+        assert float(multi.loglik).hex() == float(serial.loglik).hex()
+        assert multi.history == serial.history
 
     def test_extra_initials_honoured(self, bimodal_samples):
         initial = Mixture(
@@ -139,13 +149,25 @@ class TestMultiStart:
                 SkewNormal.from_moments(1.3, 0.04, -0.3),
             ),
         )
-        result = fit_mixture_em_multi(
-            bimodal_samples,
+        (result,) = fit_mixture_em_multistart(
+            bimodal_samples[None],
             SKEW_NORMAL_FAMILY,
             2,
             extra_initials=[initial],
         )
         assert result.mixture.n_components == 2
+        serial = reference.fit_mixture_em_multi(
+            bimodal_samples, SKEW_NORMAL_FAMILY, 2, extra_initials=[initial]
+        )
+        assert float(result.loglik).hex() == float(serial.loglik).hex()
+
+    def test_rejects_extra_initials_length_mismatch(self, bimodal_samples):
+        with pytest.raises(FittingError, match="does not match"):
+            fit_mixture_em_multistart(
+                bimodal_samples[None],
+                SKEW_NORMAL_FAMILY,
+                extra_initials=[None, None],
+            )
 
 
 class TestDegenerateInputs:
@@ -179,7 +201,9 @@ class TestDegenerateInputs:
 
     def test_multi_start_degenerates_identically(self):
         with pytest.raises(FittingError):
-            fit_mixture_em_multi(np.full(500, 2.0), SKEW_NORMAL_FAMILY, 2)
+            fit_mixture_em_multistart(
+                np.full((1, 500), 2.0), SKEW_NORMAL_FAMILY, 2
+            )
 
     def test_underflowing_component_spread_keeps_previous_estimate(self):
         # A narrow component sits on one sample; a neighbour 3.2e-4

@@ -1,13 +1,16 @@
-"""Byte-identity suite: batched fits vs the serial per-point loops.
+"""Byte-identity suite: the lockstep EM engine vs the serial reference.
 
-The batched pipeline's load-bearing invariant is exactness, not
-closeness: ``fit_mixture_em_batch`` (and the batched k-means seeding
-and ``LVF2Model.fit_batch`` on top of it) must reproduce the serial
-loop *bit for bit* — same floats, same iteration counts, same
-convergence flags, same exceptions in the same rows.  Every
-comparison here therefore canonicalises results through ``float.hex``
-JSON and asserts string equality; ``pytest.approx`` would defeat the
-point.
+``repro.stats.em`` has one EM engine, ``fit_mixture_em_batch``; scalar
+fits are batches of one.  Its load-bearing invariant is exactness, not
+closeness: every row must reproduce the original per-point serial loop
+(kept verbatim in ``tests/stats/serial_em_reference.py``) *bit for
+bit* — same floats, same iteration counts, same convergence and
+collapse flags, same exceptions in the same rows.  That covers rows
+the loop handles in lockstep with dead lanes (k-means under-seeding,
+``min_weight`` pruning) as well as ordinary ones, and the multi-start
+``LVF2Model`` / ``Norm2Model`` fits built on the engine.  Every
+comparison therefore canonicalises results through ``float.hex`` JSON
+and asserts string equality; ``pytest.approx`` would defeat the point.
 
 The randomized sweep draws grid configurations (shape, family,
 separation, degeneracy injection) from seeded RNGs so each case is
@@ -26,18 +29,20 @@ import pytest
 from repro.errors import ConvergenceWarningError, FittingError
 from repro.models.gaussian import GaussianModel
 from repro.models.lvf2 import LVF2Model, SKEW_NORMAL_FAMILY
-from repro.models.norm2 import GAUSSIAN_FAMILY
+from repro.models.lvfk import LVF3Model, LVF4Model, LVFkModel
+from repro.models.norm2 import GAUSSIAN_FAMILY, Norm2Model
 from repro.runtime import telemetry
 from repro.runtime.telemetry import TelemetrySession
 from repro.stats import em as em_module
 from repro.stats.em import (
     EMConfig,
-    fit_mixture_em,
     fit_mixture_em_batch,
+    fit_mixture_em_multistart,
 )
 from repro.stats.kmeans import kmeans_1d, kmeans_1d_batch
 from repro.stats.mixtures import Mixture
 from repro.stats.skew_normal import SkewNormal
+from tests.stats import serial_em_reference as reference
 
 CASES = int(os.environ.get("REPRO_EM_BATCH_CASES", "20"))
 SWEEP_SEED = 20260808
@@ -80,13 +85,13 @@ def canon_result(result) -> str:
 
 
 def serial_loop(stack, family, n_components=2, config=None, initials=None):
-    """The reference: one ``fit_mixture_em`` call per row, errors kept."""
+    """The reference: one serial ``fit_mixture_em`` per row, errors kept."""
     results = []
     for index in range(stack.shape[0]):
         initial = None if initials is None else initials[index]
         try:
             results.append(
-                fit_mixture_em(
+                reference.fit_mixture_em(
                     stack[index],
                     family,
                     n_components,
@@ -171,8 +176,8 @@ class TestRandomizedEquivalence:
             rng, n_points, n_samples, spread=float(rng.uniform(0.0, 2.0))
         )
         if rng.random() < 0.4:
-            # Inject a degenerate row: the batch must eject it and
-            # still match the serial loop bit for bit.
+            # Inject a degenerate row: it must fail or collapse in its
+            # slot and still match the serial loop bit for bit.
             victim = int(rng.integers(n_points))
             stack[victim] = 1.0 + 1e-12 * np.arange(n_samples)
         config = EMConfig(
@@ -279,7 +284,8 @@ class TestMixedConvergence:
     @pytest.mark.parametrize("min_weight", [1e-4, 0.0])
     def test_zero_weight_warm_start_matches_serial(self, min_weight):
         # A zero-weight component's log row is -inf.  With the default
-        # floor the row is ejected; with no floor it stays in lockstep.
+        # floor the row prunes it and collapses; with no floor it keeps
+        # iterating with the dead component.
         rng = np.random.default_rng(82)
         stack = bimodal_stack(rng, 3, 80)
         initial = Mixture(
@@ -352,17 +358,29 @@ class TestKMeansBatch:
             kmeans_1d_batch(stack, 2)
 
 
+def canon_model(model) -> str:
+    """float.hex canon of a fitted mixture model (LVF2, Norm2, LVFk)."""
+    return json.dumps(
+        {
+            "weights": [float(w).hex() for w in model.mixture.weights],
+            "components": [
+                canon_component(c) for c in model.mixture.components
+            ],
+        }
+    )
+
+
 class TestLVF2FitBatch:
     def test_fit_batch_matches_serial_fit(self):
         rng = np.random.default_rng(90)
         stack = bimodal_stack(rng, 6, 80)
         serial = [
-            LVF2Model.fit(stack[index])
+            reference.lvf2_fit(stack[index])
             for index in range(stack.shape[0])
         ]
         batched = LVF2Model.fit_batch(stack)
         for a, b in zip(serial, batched):
-            assert a.parameters() == b.parameters()
+            assert canon_model(a) == canon_model(b)
 
     def test_fit_batch_captures_row_errors(self):
         rng = np.random.default_rng(91)
@@ -370,10 +388,126 @@ class TestLVF2FitBatch:
         stack[1] = 2.5  # constant row
         batched = LVF2Model.fit_batch(stack, errors="capture")
         assert isinstance(batched[1], Exception)
-        with pytest.raises(type(batched[1])):
-            LVF2Model.fit(stack[1])
-        serial0 = LVF2Model.fit(stack[0])
-        assert batched[0].parameters() == serial0.parameters()
+        with pytest.raises(type(batched[1])) as excinfo:
+            reference.lvf2_fit(stack[1])
+        assert str(excinfo.value) == str(batched[1])
+        serial0 = reference.lvf2_fit(stack[0])
+        assert canon_model(batched[0]) == canon_model(serial0)
+
+
+class TestScalarFitsMatchReference:
+    """Scalar model fits are batches of one; each must equal the serial
+    reference fit at the 500-sample scale of the path stages."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(20261017)
+        return list(bimodal_stack(rng, 3, 500, spread=2.0)) + [
+            rng.normal(1.0, 0.1, 500)
+        ]
+
+    def test_lvf2_fit(self, rows):
+        for index, row in enumerate(rows):
+            assert canon_model(LVF2Model.fit(row)) == canon_model(
+                reference.lvf2_fit(row)
+            ), f"row {index}"
+
+    def test_norm2_fit(self, rows):
+        for index, row in enumerate(rows):
+            assert canon_model(Norm2Model.fit(row)) == canon_model(
+                reference.norm2_fit(row)
+            ), f"row {index}"
+
+    @pytest.mark.parametrize("model", [LVF3Model, LVF4Model])
+    def test_lvfk_fit(self, rows, model):
+        for index, row in enumerate(rows):
+            expected = reference.fit_mixture_em(
+                row, SKEW_NORMAL_FAMILY, model.order
+            ).mixture
+            fitted = model.fit(row)
+            assert canon_model(fitted) == canon_model(
+                LVFkModel(expected.weights, expected.components)
+            ), f"row {index}"
+
+
+class TestMultiStartMatchesReference:
+    def test_multistart_matches_serial_multi(self):
+        rng = np.random.default_rng(92)
+        stack = np.concatenate(
+            [
+                bimodal_stack(rng, 2, 120),
+                np.stack(
+                    [
+                        np.concatenate(
+                            [rng.normal(0, 0.3, 80), rng.normal(0, 1.5, 40)]
+                        )
+                    ]
+                ),
+                np.full((1, 120), 2.0),  # fails every start
+            ]
+        )
+        extra = Mixture(
+            (0.5, 0.5), (GaussianModel(0.5, 0.3), GaussianModel(2.0, 0.3))
+        )
+        extras = [None, extra, extra, None]
+        batched = fit_mixture_em_multistart(
+            stack, GAUSSIAN_FAMILY, extra_initials=extras, errors="capture"
+        )
+        for index, row in enumerate(stack):
+            try:
+                serial = reference.fit_mixture_em_multi(
+                    row,
+                    GAUSSIAN_FAMILY,
+                    extra_initials=[] if extras[index] is None
+                    else [extras[index]],
+                )
+            except Exception as error:  # noqa: BLE001 — parity of errors
+                serial = error
+            assert canon_result(serial) == canon_result(
+                batched[index]
+            ), f"row {index}"
+        assert isinstance(batched[3], FittingError)
+
+
+class TestDeadLanes:
+    """Rows that run in lockstep with fewer live components than lanes.
+
+    One three-component block mixes ordinary rows with a row whose
+    k-means split seeds only two components (one group is too small)
+    and a row that prunes a component below ``min_weight`` at
+    iteration 24; both must stay bit-identical to the serial loop.
+    """
+
+    N = 145
+    CONFIG = EMConfig(max_iter=60, min_weight=0.05)
+
+    def stack(self):
+        rng = np.random.default_rng([7, 14])
+        assert int(rng.integers(60, 200)) == self.N
+        pruning = bimodal_stack(rng, 1, self.N, spread=0.0)[0]
+        other = np.random.default_rng(93)
+        ordinary = bimodal_stack(other, 2, self.N, spread=3.0)
+        under = bimodal_stack(other, 1, self.N)[0]
+        under[:5] = 3.0  # a k-means group too small to seed
+        return np.stack([ordinary[0], pruning, under, ordinary[1]])
+
+    def test_prune_and_underseed_rows_match_serial(self):
+        stack = self.stack()
+        assert em_module._block_rows(3, self.N) >= len(stack)
+        initial = [
+            reference._initial_mixture(
+                row, SKEW_NORMAL_FAMILY, 3, self.CONFIG
+            ).n_components
+            for row in stack
+        ]
+        assert initial[1:3] == [3, 2]
+        serial, batched = assert_batch_matches_serial(
+            stack, SKEW_NORMAL_FAMILY, 3, config=self.CONFIG
+        )
+        pruned, under = batched[1], batched[2]
+        assert pruned.collapsed and pruned.mixture.n_components == 2
+        assert pruned.n_iter > 24
+        assert under.collapsed and under.mixture.n_components == 2
 
 
 class TestMultiBlock:
@@ -381,7 +515,7 @@ class TestMultiBlock:
 
     ``n_samples`` is derived from the block budget so each block holds
     two rows: the seven rows below run as blocks of 2, 2, 2 and 1, with
-    an early-converging row, a capped row, a ``min_weight`` ejection,
+    an early-converging row, a capped row, a ``min_weight`` collapse,
     a k-means collapse and a validation failure spread across them.
     """
 
@@ -409,7 +543,7 @@ class TestMultiBlock:
             [
                 easy[1],                   # block 0: converges early
                 rng.normal(0.0, 1.0, n),   # block 0: hits the cap
-                rng.normal(0.0, 1.0, n),   # block 1: min_weight ejection
+                rng.normal(0.0, 1.0, n),   # block 1: min_weight collapse
                 collapse,                  # block 1: k-means collapse
                 np.full(n, 1.25),          # block 2: fails validation
                 rng.normal(0.0, 1.0, n),   # block 2: hits the cap
