@@ -105,7 +105,6 @@ class FlowConfig:
             "fit_mixture_em",
             "fit_mixture_em_batch",
             "fit_mixture_em_multistart",
-            "kmeans_1d",
             "kmeans_1d_batch",
             "kmeans_nd",
             "sample",

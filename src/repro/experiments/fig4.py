@@ -112,7 +112,8 @@ def run_fig4(
 
     The delay map uses the output-fall arc (the stacked NMOS network,
     where the charge-sharing competition lives) and the transition map
-    the same arc's output slew.
+    the same arc's output slew.  Each quantity's grid points are
+    stacked and fitted with one ``fit_batch`` call per model.
     """
     samples = n_samples or (50_000 if paper_scale() else 4000)
     sim = engine or GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
@@ -127,24 +128,32 @@ def run_fig4(
         sim, cell, input_pin, "fall", config
     )
     shape = config.grid_shape
-    delay_map = np.zeros(shape)
-    transition_map = np.zeros(shape)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            for quantity, heatmap in (
-                ("delay", delay_map),
-                ("transition", transition_map),
-            ):
-                data = characterization.samples(quantity, i, j)
-                golden = EmpiricalDistribution(data)
-                lvf = LVFModel.fit(data)
-                lvf2 = LVF2Model.fit(data)
-                heatmap[i, j] = error_reduction(
+    heatmaps = {}
+    for quantity in ("delay", "transition"):
+        stack = np.stack(
+            [
+                characterization.samples(quantity, i, j)
+                for i in range(shape[0])
+                for j in range(shape[1])
+            ]
+        )
+        lvf_fits = LVFModel.fit_batch(stack)
+        lvf2_fits = LVF2Model.fit_batch(stack)
+        heatmaps[quantity] = np.array(
+            [
+                error_reduction(
                     cdf_rmse(lvf, golden), cdf_rmse(lvf2, golden)
                 )
+                for lvf, lvf2, golden in zip(
+                    lvf_fits,
+                    lvf2_fits,
+                    map(EmpiricalDistribution, stack),
+                )
+            ]
+        ).reshape(shape)
     return Fig4Result(
         slews=config.slews,
         loads=config.loads,
-        delay_heatmap=delay_map,
-        transition_heatmap=transition_map,
+        delay_heatmap=heatmaps["delay"],
+        transition_heatmap=heatmaps["transition"],
     )

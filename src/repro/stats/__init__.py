@@ -15,7 +15,6 @@ from repro.stats.em import (
 from repro.stats.extended_skew_normal import ExtendedSkewNormal
 from repro.stats.kmeans import (
     KMeansResult,
-    kmeans_1d,
     kmeans_1d_batch,
     kmeans_nd,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ecdf",
     "fit_mixture_em",
     "fit_mixture_em_batch",
-    "kmeans_1d",
     "kmeans_1d_batch",
     "kmeans_nd",
     "latin_hypercube",

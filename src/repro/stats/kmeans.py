@@ -6,8 +6,9 @@ deriving per-group moment estimates.  Timing samples are scalar, so the
 implementation is specialised (and exact-ish) for 1-D data, with a
 general N-D Lloyd iteration kept for completeness.
 
-The 1-D path uses sorted data and k-means++-style seeding followed by
-Lloyd iterations on cluster boundaries, which converges in a handful of
+The 1-D path, :func:`kmeans_1d_batch`, clusters a stack of sample rows
+at once (a single sample set is a batch of one): k-means++-style
+seeding followed by Lloyd iterations, which converge in a handful of
 passes for the bimodal shapes this library cares about.
 """
 
@@ -21,7 +22,6 @@ from repro.errors import FittingError
 
 __all__ = [
     "KMeansResult",
-    "kmeans_1d",
     "kmeans_1d_batch",
     "kmeans_nd",
     "split_by_labels",
@@ -79,81 +79,6 @@ def _seed_plus_plus(
     return centers
 
 
-def kmeans_1d(
-    samples: np.ndarray,
-    n_clusters: int = 2,
-    *,
-    max_iter: int = 100,
-    n_restarts: int = 4,
-    seed: int | None = 0,
-) -> KMeansResult:
-    """Cluster scalar samples into ``n_clusters`` groups.
-
-    Args:
-        samples: 1-D observations.
-        n_clusters: Number of clusters ``k`` (the paper uses 2).
-        max_iter: Lloyd-iteration cap per restart.
-        n_restarts: Independent seedings; the lowest-inertia run wins.
-        seed: RNG seed for reproducible seeding; ``None`` for entropy.
-
-    Returns:
-        The best :class:`KMeansResult`, centres sorted ascending.
-
-    Raises:
-        FittingError: If there are fewer distinct values than clusters.
-    """
-    array = np.asarray(samples, dtype=float)
-    if array.ndim > 1:
-        raise FittingError(
-            f"kmeans_1d expects 1-D samples, got ndim={array.ndim}; "
-            "use kmeans_1d_batch for stacked (n_points, n_samples) grids"
-        )
-    data = array.ravel()
-    if data.size < n_clusters:
-        raise FittingError(
-            f"need at least {n_clusters} samples for {n_clusters} clusters"
-        )
-    if np.unique(data).size < n_clusters:
-        raise FittingError(
-            f"need at least {n_clusters} distinct values for k-means"
-        )
-    rng = np.random.default_rng(seed)
-    best: KMeansResult | None = None
-    for _ in range(max(1, n_restarts)):
-        centers = np.sort(_seed_plus_plus(data, n_clusters, rng))
-        labels = np.zeros(data.size, dtype=np.intp)
-        converged = False
-        iteration = 0
-        for iteration in range(1, max_iter + 1):
-            new_labels = np.argmin(
-                np.abs(data[:, None] - centers[None, :]), axis=1
-            )
-            for cluster in range(n_clusters):
-                mask = new_labels == cluster
-                if np.any(mask):
-                    centers[cluster] = data[mask].mean()
-                else:
-                    # Re-seed an empty cluster at the farthest point.
-                    distances = np.abs(data - centers[new_labels])
-                    centers[cluster] = data[int(np.argmax(distances))]
-            if np.array_equal(new_labels, labels) and iteration > 1:
-                converged = True
-                labels = new_labels
-                break
-            labels = new_labels
-        order = np.argsort(centers)
-        centers = centers[order]
-        remap = np.empty_like(order)
-        remap[order] = np.arange(n_clusters)
-        labels = remap[labels]
-        inertia = float(np.sum((data - centers[labels]) ** 2))
-        candidate = KMeansResult(centers, labels, inertia, iteration, converged)
-        if best is None or candidate.inertia < best.inertia:
-            best = candidate
-    assert best is not None
-    return best
-
-
 def kmeans_1d_batch(
     samples: np.ndarray,
     n_clusters: int = 2,
@@ -163,10 +88,11 @@ def kmeans_1d_batch(
     seed: int | None = 0,
     errors: str = "raise",
 ) -> list[KMeansResult | FittingError]:
-    """Batched :func:`kmeans_1d` over a ``(n_points, n_samples)`` stack.
+    """Cluster each row of a ``(n_points, n_samples)`` stack of scalars.
 
-    Bit-identical to calling :func:`kmeans_1d` on each row with the
-    same ``seed``: every row gets its own freshly seeded generator
+    Each row's result is bit-identical to clustering that row alone
+    with the same ``seed`` (the serial per-row loop lives on as the
+    test reference): every row gets its own freshly seeded generator
     (exactly what a serial loop constructs per call), seeding itself
     stays per-row so RNG consumption matches draw for draw, and the
     Lloyd assignment step — the hot part — runs as one vectorized
@@ -318,7 +244,7 @@ def kmeans_nd(
     """Lloyd's algorithm for ``(n, d)`` data.
 
     Provided for completeness (multi-dimensional characterisation
-    features); the timing-fitting path uses :func:`kmeans_1d`.
+    features); the timing-fitting path uses :func:`kmeans_1d_batch`.
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim == 1:

@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.binning.metrics import cdf_rmse, error_reduction
+from repro.circuits.cells import build_cell
+from repro.circuits.characterize import (
+    PAPER_LOADS,
+    PAPER_SLEWS,
+    CharacterizationConfig,
+    characterize_arc,
+)
 from repro.experiments.fig4 import diagonal_contrast, run_fig4
 from repro.experiments.table2 import Table2Config, run_table2
+from repro.models import LVF2Model, LVFModel
+from repro.stats.empirical import EmpiricalDistribution
 
 
 class TestTable2Small:
@@ -80,3 +90,39 @@ class TestFig4Small:
         # Somewhere on the grid LVF2 clearly helps.
         assert result.delay_heatmap.max() > 1.5
         assert "Figure 4" in result.to_text()
+
+
+def per_point_fig4(engine, n_samples, seed):
+    """Fig. 4 heatmaps from one ``fit`` per model per grid point."""
+    config = CharacterizationConfig(
+        slews=PAPER_SLEWS, loads=PAPER_LOADS, n_samples=n_samples,
+        seed=seed,
+    )
+    characterization = characterize_arc(
+        engine, build_cell("NAND2"), "A", "fall", config
+    )
+    maps = {}
+    for quantity in ("delay", "transition"):
+        grid = np.zeros(config.grid_shape)
+        for i, j in np.ndindex(*config.grid_shape):
+            data = characterization.samples(quantity, i, j)
+            golden = EmpiricalDistribution(data)
+            grid[i, j] = error_reduction(
+                cdf_rmse(LVFModel.fit(data), golden),
+                cdf_rmse(LVF2Model.fit(data), golden),
+            )
+        maps[quantity] = grid
+    return maps
+
+
+class TestFig4Batched:
+    def test_heatmaps_equal_per_point_fits(self, engine):
+        result = run_fig4(n_samples=32, seed=5, engine=engine)
+        reference = per_point_fig4(engine, 32, 5)
+        for grid, quantity in (
+            (result.delay_heatmap, "delay"),
+            (result.transition_heatmap, "transition"),
+        ):
+            assert [float(v).hex() for v in grid.ravel()] == [
+                float(v).hex() for v in reference[quantity].ravel()
+            ]

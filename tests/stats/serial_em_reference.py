@@ -4,9 +4,10 @@
 ``fit_mixture_em_batch``.  Its load-bearing invariant is that every
 row is bit-identical to fitting that row alone with the original
 per-point loop.  That loop lives on here, verbatim, as the oracle the
-equivalence tests compare against: ``fit_mixture_em`` (one row),
-``fit_mixture_em_multi`` (k-means, concentric and extra starts) and
-the LVF2 / Norm2 multi-start fits built on them.
+equivalence tests compare against: ``kmeans_1d`` (the scalar k-means
+seeding), ``fit_mixture_em`` (one row), ``fit_mixture_em_multi``
+(k-means, concentric and extra starts) and the LVF2 / Norm2
+multi-start fits built on them.
 
 Nothing in ``src/`` imports this module.
 """
@@ -29,10 +30,88 @@ from repro.stats.em import (
     EMResult,
     concentric_initial,
 )
-from repro.stats.kmeans import KMeansResult, kmeans_1d, split_by_labels
+from repro.stats.kmeans import (
+    KMeansResult,
+    _seed_plus_plus,
+    split_by_labels,
+)
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import validate_samples
 
+
+def kmeans_1d(
+    samples: np.ndarray,
+    n_clusters: int = 2,
+    *,
+    max_iter: int = 100,
+    n_restarts: int = 4,
+    seed: int | None = 0,
+) -> KMeansResult:
+    """Cluster scalar samples into ``n_clusters`` groups.
+
+    Args:
+        samples: 1-D observations.
+        n_clusters: Number of clusters ``k`` (the paper uses 2).
+        max_iter: Lloyd-iteration cap per restart.
+        n_restarts: Independent seedings; the lowest-inertia run wins.
+        seed: RNG seed for reproducible seeding; ``None`` for entropy.
+
+    Returns:
+        The best :class:`KMeansResult`, centres sorted ascending.
+
+    Raises:
+        FittingError: If there are fewer distinct values than clusters.
+    """
+    array = np.asarray(samples, dtype=float)
+    if array.ndim > 1:
+        raise FittingError(
+            f"kmeans_1d expects 1-D samples, got ndim={array.ndim}; "
+            "use kmeans_1d_batch for stacked (n_points, n_samples) grids"
+        )
+    data = array.ravel()
+    if data.size < n_clusters:
+        raise FittingError(
+            f"need at least {n_clusters} samples for {n_clusters} clusters"
+        )
+    if np.unique(data).size < n_clusters:
+        raise FittingError(
+            f"need at least {n_clusters} distinct values for k-means"
+        )
+    rng = np.random.default_rng(seed)
+    best: KMeansResult | None = None
+    for _ in range(max(1, n_restarts)):
+        centers = np.sort(_seed_plus_plus(data, n_clusters, rng))
+        labels = np.zeros(data.size, dtype=np.intp)
+        converged = False
+        iteration = 0
+        for iteration in range(1, max_iter + 1):
+            new_labels = np.argmin(
+                np.abs(data[:, None] - centers[None, :]), axis=1
+            )
+            for cluster in range(n_clusters):
+                mask = new_labels == cluster
+                if np.any(mask):
+                    centers[cluster] = data[mask].mean()
+                else:
+                    # Re-seed an empty cluster at the farthest point.
+                    distances = np.abs(data - centers[new_labels])
+                    centers[cluster] = data[int(np.argmax(distances))]
+            if np.array_equal(new_labels, labels) and iteration > 1:
+                converged = True
+                labels = new_labels
+                break
+            labels = new_labels
+        order = np.argsort(centers)
+        centers = centers[order]
+        remap = np.empty_like(order)
+        remap[order] = np.arange(n_clusters)
+        labels = remap[labels]
+        inertia = float(np.sum((data - centers[labels]) ** 2))
+        candidate = KMeansResult(centers, labels, inertia, iteration, converged)
+        if best is None or candidate.inertia < best.inertia:
+            best = candidate
+    assert best is not None
+    return best
 
 def _initial_mixture(
     samples: np.ndarray,

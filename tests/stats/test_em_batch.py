@@ -39,7 +39,7 @@ from repro.stats.em import (
     fit_mixture_em_batch,
     fit_mixture_em_multistart,
 )
-from repro.stats.kmeans import kmeans_1d, kmeans_1d_batch
+from repro.stats.kmeans import kmeans_1d_batch
 from repro.stats.mixtures import Mixture
 from repro.stats.skew_normal import SkewNormal
 from tests.stats import serial_em_reference as reference
@@ -337,7 +337,7 @@ class TestKMeansBatch:
         seed = int(rng.integers(1 << 16))
         batched = kmeans_1d_batch(stack, 2, seed=seed)
         for index, b in enumerate(batched):
-            s = kmeans_1d(stack[index], 2, seed=seed)
+            s = reference.kmeans_1d(stack[index], 2, seed=seed)
             assert s.centers.tolist() == b.centers.tolist()
             assert s.labels.tolist() == b.labels.tolist()
             assert float(s.inertia).hex() == float(b.inertia).hex()
@@ -352,7 +352,7 @@ class TestKMeansBatch:
         )
         results = kmeans_1d_batch(stack, 2, errors="capture")
         assert isinstance(results[0], FittingError)
-        serial = kmeans_1d(stack[1], 2)
+        serial = reference.kmeans_1d(stack[1], 2)
         assert results[1].centers.tolist() == serial.centers.tolist()
         with pytest.raises(FittingError, match="distinct"):
             kmeans_1d_batch(stack, 2)

@@ -8,15 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FittingError
-from repro.stats.kmeans import kmeans_1d, kmeans_nd, split_by_labels
+from repro.stats.kmeans import kmeans_1d_batch, kmeans_nd, split_by_labels
+
+
+def kmeans_row(samples, n_clusters=2, **kwargs):
+    """Cluster one sample set as a batch of one."""
+    stack = np.asarray(samples, dtype=float)[None]
+    (result,) = kmeans_1d_batch(stack, n_clusters, **kwargs)
+    return result
 
 
 class TestKMeans1D:
+    """``kmeans_1d_batch`` on one row."""
+
     def test_separates_two_clear_clusters(self, rng):
         data = np.concatenate(
             [rng.normal(0.0, 0.1, 500), rng.normal(5.0, 0.1, 300)]
         )
-        result = kmeans_1d(data, 2)
+        result = kmeans_row(data, 2)
         assert result.centers[0] == pytest.approx(0.0, abs=0.05)
         assert result.centers[1] == pytest.approx(5.0, abs=0.05)
         sizes = result.cluster_sizes()
@@ -24,41 +33,41 @@ class TestKMeans1D:
 
     def test_centers_sorted(self, rng):
         data = rng.normal(size=200)
-        result = kmeans_1d(data, 3)
+        result = kmeans_row(data, 3)
         assert np.all(np.diff(result.centers) >= 0.0)
 
     def test_labels_align_with_centers(self, rng):
         data = np.concatenate(
             [rng.normal(-3, 0.2, 100), rng.normal(3, 0.2, 100)]
         )
-        result = kmeans_1d(data, 2)
+        result = kmeans_row(data, 2)
         assert np.all(result.labels[:100] == 0)
         assert np.all(result.labels[100:] == 1)
 
     def test_deterministic_with_seed(self, rng):
         data = rng.normal(size=300)
-        a = kmeans_1d(data, 2, seed=42)
-        b = kmeans_1d(data, 2, seed=42)
+        a = kmeans_row(data, 2, seed=42)
+        b = kmeans_row(data, 2, seed=42)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_converged_flag(self, rng):
         data = np.concatenate(
             [rng.normal(0, 0.1, 50), rng.normal(10, 0.1, 50)]
         )
-        assert kmeans_1d(data, 2).converged
+        assert kmeans_row(data, 2).converged
 
     def test_too_few_samples(self):
         with pytest.raises(FittingError):
-            kmeans_1d([1.0], 2)
+            kmeans_row([1.0], 2)
 
     def test_too_few_distinct(self):
         with pytest.raises(FittingError, match="distinct"):
-            kmeans_1d([1.0] * 50, 2)
+            kmeans_row([1.0] * 50, 2)
 
     def test_inertia_decreases_with_k(self, rng):
         data = rng.normal(size=400)
-        inertia2 = kmeans_1d(data, 2).inertia
-        inertia4 = kmeans_1d(data, 4).inertia
+        inertia2 = kmeans_row(data, 2).inertia
+        inertia4 = kmeans_row(data, 4).inertia
         assert inertia4 < inertia2
 
 
@@ -101,6 +110,6 @@ def test_property_separated_clusters_recovered(gap, size_a, size_b):
     data = np.concatenate(
         [rng.normal(0.0, 0.3, size_a), rng.normal(gap, 0.3, size_b)]
     )
-    result = kmeans_1d(data, 2)
+    result = kmeans_row(data, 2)
     assert result.cluster_sizes()[0] == size_a
     assert result.cluster_sizes()[1] == size_b
