@@ -8,6 +8,7 @@ ratio 1.0) and the gating rules are pinned exactly.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.perf import (
     load_report,
     render_comparison,
 )
+from repro.perf.record import _CAL_MIN_S
 
 
 def report(timings, *, calibration=1.0, config=None):
@@ -45,6 +47,13 @@ class TestCalibrate:
     def test_reps_validated(self):
         with pytest.raises(ParameterError):
             calibrate(reps=0)
+
+    def test_repeats_for_the_minimum_window(self):
+        # A few back-to-back repetitions can all land in a slow BLAS
+        # transient; the minimum must come from a window that outlasts it.
+        start = time.perf_counter()
+        calibrate(reps=1)
+        assert time.perf_counter() - start >= _CAL_MIN_S
 
 
 class TestExperimentTimings:
