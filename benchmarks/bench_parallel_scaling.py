@@ -5,11 +5,10 @@ worker pool at 2 and 4 workers, records wall times and speedups, and
 verifies the outputs are byte-identical across all worker counts (the
 pool's core guarantee).
 
-A second section compares work-unit granularities on the workload the
-grid granularity exists for: a *single* cell with a deep slew/load
-grid, where pin-sized items leave all but one worker idle and
-grid-point items spread the same conditions across every worker.
-Throughput (grid conditions per second) is reported per granularity.
+A second section runs a *single* cell with a deep slew/load grid
+(INV, 8x8) at 1 and 2 workers: the workload where one pin dominates,
+so the pool has only the pin's two edges to spread.  Throughput (grid
+conditions per second) is reported per worker count.
 
 Speedup is *recorded, not asserted*: CI containers often pin a single
 core, where extra workers cannot help and spawn overhead makes them
@@ -34,14 +33,15 @@ WORKER_COUNTS = (1, 2, 4)
 GRID = 2
 SAMPLES = 256
 
-# Granularity comparison: one cell, deep grid, 4 workers — the
-# per-pin-dominated workload where pin granularity cannot scale.
-GRAN_GRID = 8
-GRAN_SAMPLES = 96
-GRAN_WORKERS = 4
+# Single-cell section: one cell, deep grid, 1 and 2 workers.
+CELL_GRID = 8
+CELL_SAMPLES = 96
+CELL_WORKERS = (1, 2)
 
 
-def _characterize(workers: int) -> tuple[str, str, float]:
+def _characterize(
+    workers: int, cell_names=("INV", "NAND2"), grid=GRID, samples=SAMPLES
+) -> tuple[str, str, float]:
     from repro.circuits import (
         CharacterizationConfig,
         GateTimingEngine,
@@ -53,11 +53,11 @@ def _characterize(workers: int) -> tuple[str, str, float]:
     from repro.runtime import FitPolicy, FitReport
 
     engine = GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
-    cells = [build_cell("INV", 1.0), build_cell("NAND2", 1.0)]
+    cells = [build_cell(name, 1.0) for name in cell_names]
     config = CharacterizationConfig(
-        slews=PAPER_SLEWS[:GRID],
-        loads=PAPER_LOADS[:GRID],
-        n_samples=SAMPLES,
+        slews=PAPER_SLEWS[:grid],
+        loads=PAPER_LOADS[:grid],
+        n_samples=samples,
         seed=7,
     )
     report = FitReport()
@@ -79,75 +79,28 @@ def _characterize(workers: int) -> tuple[str, str, float]:
     )
 
 
-def _characterize_granularity(
-    workers: int, granularity: str
-) -> tuple[str, str, float, int]:
-    from repro.circuits import (
-        CharacterizationConfig,
-        GateTimingEngine,
-        TT_GLOBAL_LOCAL_MC,
-        build_cell,
-        characterize_library,
-    )
-    from repro.circuits.characterize import PAPER_LOADS, PAPER_SLEWS
-    from repro.runtime import FitPolicy, FitReport
-
-    engine = GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
-    cells = [build_cell("INV", 1.0)]
-    config = CharacterizationConfig(
-        slews=PAPER_SLEWS[:GRAN_GRID],
-        loads=PAPER_LOADS[:GRAN_GRID],
-        n_samples=GRAN_SAMPLES,
-        seed=7,
-    )
-    # One input pin x two edges x GRAN_GRID^2 conditions.
-    conditions = 2 * GRAN_GRID * GRAN_GRID
-    report = FitReport()
-    start = time.perf_counter()
-    library = characterize_library(
-        engine,
-        cells,
-        config,
-        policy=FitPolicy(),
-        report=report,
-        isolate_errors=True,
-        workers=workers,
-        granularity=granularity,
-    )
-    elapsed = time.perf_counter() - start
-    return (
-        library.to_text(),
-        json.dumps(report.to_dict(), sort_keys=True),
-        elapsed,
-        conditions,
-    )
-
-
-def _granularity_section() -> bool:
-    """Run the pin-vs-grid comparison; True when outputs diverged."""
+def _single_cell_section() -> bool:
+    """Run INV on the deep grid at each worker count; True on divergence."""
     print(
-        f"granularity comparison: 1 cell (INV), "
-        f"{GRAN_GRID}x{GRAN_GRID} grid, {GRAN_SAMPLES} samples, "
-        f"{GRAN_WORKERS} workers"
+        f"single cell: INV, {CELL_GRID}x{CELL_GRID} grid, "
+        f"{CELL_SAMPLES} samples"
     )
-    serial_lib, serial_report, serial_time, conditions = (
-        _characterize_granularity(1, "pin")
-    )
-    print(
-        f"  serial           wall={serial_time:8.3f}s  "
-        f"throughput={conditions / serial_time:7.1f} cond/s"
-    )
+    # One input pin x two edges x CELL_GRID^2 conditions.
+    conditions = 2 * CELL_GRID * CELL_GRID
+    serial_lib = serial_report = None
     failed = False
-    for granularity in ("pin", "grid"):
-        lib, report, elapsed, conditions = _characterize_granularity(
-            GRAN_WORKERS, granularity
+    for workers in CELL_WORKERS:
+        lib, report, elapsed = _characterize(
+            workers, ("INV",), CELL_GRID, CELL_SAMPLES
         )
+        if serial_lib is None:
+            serial_lib, serial_report = lib, report
         identical = lib == serial_lib and report == serial_report
         throughput = (
             conditions / elapsed if elapsed > 0 else float("inf")
         )
         print(
-            f"  granularity={granularity:<4s}  wall={elapsed:8.3f}s  "
+            f"  workers={workers}  wall={elapsed:8.3f}s  "
             f"throughput={throughput:7.1f} cond/s  "
             f"byte-identical={'yes' if identical else 'NO'}"
         )
@@ -178,7 +131,7 @@ def main() -> int:
         )
         if not identical:
             failed = True
-    failed = _granularity_section() or failed
+    failed = _single_cell_section() or failed
     if failed:
         print(
             "FAIL: a parallel run diverged from the serial output",

@@ -12,21 +12,15 @@ geometrically.
 from __future__ import annotations
 
 import hashlib
-import shutil
-import tempfile
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuits.cells import CellDefinition
 from repro.circuits.gate import ArcSimResult, GateTimingEngine
-from repro.errors import (
-    CharacterizationError,
-    FittingError,
-    ParameterError,
-)
+from repro.errors import CharacterizationError, FittingError
 from repro.liberty.library import Cell as LibCell
 from repro.liberty.library import Library, Pin, TimingArc
 from repro.liberty.lvf2_attrs import LVF2Tables
@@ -40,7 +34,6 @@ from repro.runtime.progress import ProgressReporter
 from repro.runtime.report import FitContext, FitReport
 
 __all__ = [
-    "GRANULARITIES",
     "PAPER_LOADS",
     "PAPER_SLEWS",
     "CharacterizationConfig",
@@ -51,15 +44,10 @@ __all__ = [
     "characterization_work_items",
     "characterized_arc_to_liberty",
     "characterize_library",
-    "grid_point_token",
-    "pin_fit_token",
+    "edge_fit_token",
     "run_fingerprint",
     "simulate_condition",
 ]
-
-#: Pool work-unit granularities: one item per (cell, pin) or one item
-#: per (cell, pin, edge, slew index, load index).
-GRANULARITIES = ("pin", "grid")
 
 #: Output-load breakpoints (pF) — the exact Fig. 4 axis values.
 PAPER_LOADS = (
@@ -83,6 +71,17 @@ PAPER_SLEWS = (
     0.13767,
     0.35366,
     0.87715,
+)
+
+#: Output edges of one arc, in serial order.
+_EDGES = ("rise", "fall")
+
+#: Liberty table base -> (edge, quantity), in serial fit order.
+_TABLES = (
+    ("cell_rise", "rise", "delay"),
+    ("rise_transition", "rise", "transition"),
+    ("cell_fall", "fall", "delay"),
+    ("fall_transition", "fall", "transition"),
 )
 
 
@@ -173,29 +172,32 @@ class ArcCharacterization:
             f"quantity must be delay/transition, got {quantity!r}"
         )
 
+    def nominal(self, quantity: str) -> np.ndarray:
+        """Variation-free grid of ``"delay"`` or ``"transition"``."""
+        if quantity == "delay":
+            return self.nominal_delay
+        return self.nominal_transition
+
     def fit_grid(self, quantity: str) -> np.ndarray:
         """Fit LVF2 at every grid point; returns an object grid.
 
         The grid is stacked into one ``(n_points, n_samples)`` array
-        and fitted by :meth:`LVF2Model.fit_batch`.  The first failing
-        point in row-major order raises, as a per-point loop would.
+        and fitted by :meth:`LVF2Model.fit_batch`, which raises the
+        first failing point in row-major order, as a per-point loop
+        would.
         """
         shape = self.config.grid_shape
-        models = np.empty(shape, dtype=object)
-        indices = [
-            (i, j) for i in range(shape[0]) for j in range(shape[1])
-        ]
+        indices = list(np.ndindex(shape))
         stack = np.stack(
             [self.samples(quantity, i, j) for i, j in indices]
         )
         with telemetry.span(
             "fit.grid_batch", stage="fitting", n_points=len(indices)
         ):
-            fitted = LVF2Model.fit_batch(stack, errors="capture")
-        for (i, j), result in zip(indices, fitted):
-            if isinstance(result, Exception):
-                raise result
-            models[i, j] = result
+            fitted = LVF2Model.fit_batch(stack)
+        models = np.empty(shape, dtype=object)
+        for index, model in zip(indices, fitted):
+            models[index] = model
         return models
 
 
@@ -246,7 +248,7 @@ def run_fingerprint(
         arc_checkpoint_token(engine, cell, pin, transition, config)
         for cell in cells
         for pin in cell.inputs
-        for transition in ("rise", "fall")
+        for transition in _EDGES
     ]
     digest = hashlib.sha256("\n".join(tokens).encode())
     return digest.hexdigest()[:16]
@@ -265,15 +267,13 @@ def simulate_condition(
     """Monte-Carlo draw for one (slew, load) grid condition.
 
     The single shared inner loop of every characterisation path —
-    serial arcs, pin-granularity pool tasks (via
-    :func:`characterize_arc`) and grid-point pool tasks all sample a
-    condition through this function, so the per-condition seed
-    derivation, telemetry and fault-injection hooks fire identically
-    wherever the condition is computed.  That is the grid-decomposition
-    half of the byte-identity argument: per-condition seeds are
-    independent sha256 derivations of ``(seed, arc, i, j)``, so the
-    samples at (i, j) do not depend on which other conditions the same
-    process has already simulated.
+    serial runs and pool edge tasks both sample a condition through
+    this function (via :func:`characterize_arc`), so the per-condition
+    seed derivation, telemetry and fault-injection hooks fire
+    identically wherever the condition is computed.  Per-condition
+    seeds are independent sha256 derivations of ``(seed, arc, i, j)``,
+    so the samples at (i, j) do not depend on which other conditions
+    the same process has already simulated.
 
     Returns ``(delay_samples, transition_samples, nominal_delay,
     nominal_transition)``.
@@ -394,22 +394,25 @@ def characterize_arc(
     return characterization
 
 
-def _fit_grid_with_policy(
+def _fit_models(
     char: ArcCharacterization,
     quantity: str,
-    policy: FitPolicy,
+    policy: FitPolicy | None,
     report: FitReport | None,
 ) -> np.ndarray:
-    """Fit every grid point through the fallback ladder.
+    """Fit one quantity's whole grid in one batched call.
 
-    :meth:`FitPolicy.fit_batch_iter` batches the first-rung LVF2 fit
-    over the stacked grid; outcomes still arrive one point at a time
-    in row-major order, so report records and any mid-grid exception
-    match a per-point loop exactly.
+    Without a policy this is :meth:`ArcCharacterization.fit_grid`.
+    With one, :meth:`FitPolicy.fit_batch_iter` batches the first-rung
+    LVF2 fit over the stacked grid; outcomes still arrive one point at
+    a time in row-major order, so report records and any mid-grid
+    exception match a per-point loop exactly.
     """
+    if policy is None:
+        return char.fit_grid(quantity)
     shape = char.config.grid_shape
     models = np.empty(shape, dtype=object)
-    indices = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+    indices = list(np.ndindex(shape))
     contexts = [
         FitContext(
             cell=char.cell,
@@ -423,18 +426,45 @@ def _fit_grid_with_policy(
     ]
     samples_list = [char.samples(quantity, i, j) for i, j in indices]
     outcomes = policy.fit_batch_iter(samples_list, contexts)
-    for (i, j), context, outcome in zip(indices, contexts, outcomes):
+    for index, context, outcome in zip(indices, contexts, outcomes):
         if report is not None:
             report.record_fit(context, outcome)
-        models[i, j] = outcome.model
+        models[index] = outcome.model
     return models
+
+
+def _lvf2_tables(
+    base: str,
+    char: ArcCharacterization,
+    quantity: str,
+    models: np.ndarray,
+) -> LVF2Tables:
+    """Liberty table set of one fitted quantity grid, named ``base``."""
+    config = char.config
+    nominal = Table(
+        config.template().name,
+        config.slews,
+        config.loads,
+        char.nominal(quantity),
+    )
+    with telemetry.span("liberty.tables", stage="export", table=base):
+        return LVF2Tables.from_models(base, nominal, models)
+
+
+def _timing_arc(pin_name: str, tables: dict[str, LVF2Tables]) -> TimingArc:
+    """One Liberty timing arc carrying ``tables`` in Liberty order."""
+    return TimingArc(
+        related_pin=pin_name,
+        timing_sense="negative_unate",
+        timing_type="combinational",
+        tables=tables,
+    )
 
 
 def characterized_arc_to_liberty(
     rise: ArcCharacterization,
     fall: ArcCharacterization,
     *,
-    timing_sense: str = "negative_unate",
     collapse_by_bic: bool = False,
     policy: FitPolicy | None = None,
     report: FitReport | None = None,
@@ -444,7 +474,6 @@ def characterized_arc_to_liberty(
     Args:
         rise: Characterisation of the output-rise edge.
         fall: Characterisation of the output-fall edge.
-        timing_sense: Liberty unateness attribute.
         collapse_by_bic: Apply the §3.4 fallback — grid points whose
             data do not support two components are stored as plain LVF.
         policy: Optional fallback ladder; when given, a degenerate fit
@@ -455,32 +484,11 @@ def characterized_arc_to_liberty(
         raise CharacterizationError(
             "rise/fall characterisations are for different arcs"
         )
-    config = rise.config
-    template = config.template()
-    arc = TimingArc(
-        related_pin=rise.input_pin,
-        timing_sense=timing_sense,
-        timing_type="combinational",
-    )
-    quantity_map = {
-        "cell_rise": (rise, "delay"),
-        "rise_transition": (rise, "transition"),
-        "cell_fall": (fall, "delay"),
-        "fall_transition": (fall, "transition"),
-    }
-    for base, (char, quantity) in quantity_map.items():
-        nominal_grid = (
-            char.nominal_delay
-            if quantity == "delay"
-            else char.nominal_transition
-        )
-        nominal = Table(
-            template.name, config.slews, config.loads, nominal_grid
-        )
-        if policy is not None:
-            models = _fit_grid_with_policy(char, quantity, policy, report)
-        else:
-            models = char.fit_grid(quantity)
+    edges = {"rise": rise, "fall": fall}
+    tables = {}
+    for base, transition, quantity in _TABLES:
+        char = edges[transition]
+        models = _fit_models(char, quantity, policy, report)
         if collapse_by_bic:
             for index in np.ndindex(models.shape):
                 model = models[index]
@@ -494,374 +502,125 @@ def characterized_arc_to_liberty(
                     continue
                 if collapsed is not model:
                     models[index] = LVF2Model.from_lvf(collapsed)
-        with telemetry.span("liberty.tables", stage="export", table=base):
-            arc.tables[base] = LVF2Tables.from_models(
-                base, nominal, models
-            )
-    return arc
+        tables[base] = _lvf2_tables(base, char, quantity, models)
+    return _timing_arc(rise.input_pin, tables)
 
 
-def pin_fit_token(
-    engine: GateTimingEngine,
-    cell: CellDefinition,
-    pin_name: str,
-    config: CharacterizationConfig,
-    *,
-    policy: FitPolicy | None,
-    isolate_errors: bool,
-) -> str:
-    """Content token of one pin's characterise-and-fit payload.
-
-    Built from both edge Monte-Carlo tokens plus the fit knobs: the
-    payload embeds fitted models and the local fit report, so anything
-    that can change a fit (the policy ladder, quarantine behaviour)
-    must change the key.  ``FitPolicy`` is a frozen dataclass of
-    scalars and tuples, so its repr is stable across processes/hosts.
-    """
-    rise = arc_checkpoint_token(engine, cell, pin_name, "rise", config)
-    fall = arc_checkpoint_token(engine, cell, pin_name, "fall", config)
-    return f"pin-fit|{rise}|{fall}|{policy!r}|{isolate_errors}"
-
-
-def _pin_payload(
-    engine: GateTimingEngine,
-    cell: CellDefinition,
-    pin_name: str,
-    config: CharacterizationConfig,
-    *,
-    checkpoint: CheckpointStore | None,
-    policy: FitPolicy | None,
-    isolate_errors: bool,
-) -> dict:
-    """Simulate both edges and fit one pin; the single shared path.
-
-    Serial runs call this directly; pool workers call it through
-    :func:`_characterize_pin_task` and checkpoint the returned dict —
-    either way the payload bytes come from the same code over the same
-    per-condition seeds, which is the byte-identity argument.
-
-    Returns ``{"arc", "report", "stage", "error"}``: a Liberty
-    :class:`TimingArc` (or None when the pin was quarantined), the
-    pin-local :class:`FitReport`, and — on quarantine — the failing
-    stage (``"simulate"``/``"fit"``) and error text.
-    """
-    local = FitReport()
-    try:
-        rise = characterize_arc(
-            engine, cell, pin_name, "rise", config, checkpoint=checkpoint
-        )
-        fall = characterize_arc(
-            engine, cell, pin_name, "fall", config, checkpoint=checkpoint
-        )
-    except (CharacterizationError, FittingError) as error:
-        if not isolate_errors:
-            raise
-        local.quarantine(
-            f"{cell.name}/{pin_name}", "simulate", str(error)
-        )
-        return {
-            "arc": None,
-            "report": local,
-            "stage": "simulate",
-            "error": str(error),
-        }
-    try:
-        arc = characterized_arc_to_liberty(
-            rise, fall, policy=policy, report=local
-        )
-    except (CharacterizationError, FittingError) as error:
-        if not isolate_errors:
-            raise
-        local.quarantine(f"{cell.name}/{pin_name}", "fit", str(error))
-        return {
-            "arc": None,
-            "report": local,
-            "stage": "fit",
-            "error": str(error),
-        }
-    return {"arc": arc, "report": local, "stage": None, "error": None}
-
-
-def _characterize_pin_task(
-    store: CheckpointStore,
-    engine: GateTimingEngine,
-    cell: CellDefinition,
-    pin_name: str,
-    config: CharacterizationConfig,
-    policy: FitPolicy | None,
-    isolate_errors: bool,
-) -> dict:
-    """Pool task: one pin's payload, Monte-Carlo checkpointed in-store.
-
-    Top-level so it pickles under the spawn start method; the worker
-    saves the returned dict under this pin's fit token.
-    """
-    return _pin_payload(
-        engine,
-        cell,
-        pin_name,
-        config,
-        checkpoint=store,
-        policy=policy,
-        isolate_errors=isolate_errors,
-    )
-
-
-def grid_point_token(
+def edge_fit_token(
     engine: GateTimingEngine,
     cell: CellDefinition,
     pin_name: str,
     transition: str,
     config: CharacterizationConfig,
-    i: int,
-    j: int,
     *,
     policy: FitPolicy | None,
 ) -> str:
-    """Content token of one grid point's simulate-and-fit payload.
+    """Content token of one arc edge's simulate-and-fit payload.
 
-    Derived from the arc's Monte-Carlo token (so any knob that changes
-    a sample changes the key) plus the condition indices and the fit
-    policy.  Unlike :func:`pin_fit_token`, ``isolate_errors`` is *not*
-    part of the key: a grid-point payload records errors instead of
-    acting on them (the parent's assembly step applies the
-    quarantine-vs-raise decision), so the same payload serves both
-    modes.
+    Derived from the edge's Monte-Carlo token (so any knob that
+    changes a sample changes the key) plus the fit policy.
+    ``FitPolicy`` is a frozen dataclass of scalars and tuples, so its
+    repr is stable across processes and hosts.  ``isolate_errors`` is
+    not part of the key: an edge payload records errors instead of
+    acting on them, so the same payload serves both modes.
     """
     arc = arc_checkpoint_token(engine, cell, pin_name, transition, config)
-    return f"grid-fit|{arc}|{i}|{j}|{policy!r}"
+    return f"edge-fit|{arc}|{policy!r}"
 
 
-#: Exception types a grid-point payload may carry; assembly re-raises
-#: the original type so serial and grid-parallel runs fail identically.
-_PAYLOAD_ERRORS = {
-    "CharacterizationError": CharacterizationError,
-    "FittingError": FittingError,
-}
-
-
-def _grid_point_task(
-    store: CheckpointStore,
+def _edge_payload(
+    store: CheckpointStore | None,
     engine: GateTimingEngine,
     cell: CellDefinition,
     pin_name: str,
     transition: str,
     config: CharacterizationConfig,
-    i: int,
-    j: int,
     policy: FitPolicy | None,
 ) -> dict:
-    """Pool task: simulate and fit one (arc, slew, load) condition.
+    """Simulate one arc edge and fit its two Liberty tables.
 
-    Top-level so it pickles under spawn.  When the store already holds
-    the full-arc Monte-Carlo payload (a previous serial or
-    pin-granularity run over the same store), the condition's samples
-    are sliced out of it instead of re-simulated — content addressing
-    makes the slice byte-identical to a fresh draw.
+    The one characterisation task: pool workers run it as a
+    :class:`WorkItem` task (top-level so it pickles under spawn) and
+    save the result under :func:`edge_fit_token`; serial runs call it
+    inline.  Either way the payload comes from the same code over the
+    same per-condition seeds, which is the byte-identity argument.
 
-    Deterministic errors are *captured in the payload* rather than
-    raised: a serial run simulates the entire rise and fall grids
-    before fitting anything, so which error surfaces first depends on
-    serial order, not on the order grid points happen to be computed
-    in.  The parent's assembly step replays the serial order over the
-    captured errors and raises (or quarantines) exactly the one a
-    serial run would have hit.
+    Errors are recorded as ``(type, text)``, never acted on: which
+    error a run reports depends on the serial order over both edges,
+    so :func:`_fold_pin` decides between quarantine and raise.
 
-    Returns ``{"sim_error", "nominal_delay", "nominal_transition",
-    "fits"}`` where ``fits[quantity]`` is one of ``{"outcome":
-    FitOutcome}`` (policy path), ``{"model": LVF2Model}`` (bare-fitter
-    path) or ``{"error": (type_name, text)}``.
+    Returns ``{"sim_error", "fits"}``: the simulation error or None,
+    and per Liberty base (``cell_rise`` ...) ``{"report", "tables",
+    "error"}`` — the fit records in row-major order (up to a failing
+    point), the :class:`LVF2Tables` of the fitted grid, and the fit
+    error or None.
     """
-    topology = cell.arc(pin_name, transition)
-    with telemetry.span(
-        "characterize.point",
-        cell=cell.name,
-        pin=pin_name,
-        transition=transition,
-        slew_index=i,
-        load_index=j,
-    ):
-        arc_token = arc_checkpoint_token(
-            engine, cell, pin_name, transition, config
+    try:
+        char = characterize_arc(
+            engine, cell, pin_name, transition, config, checkpoint=store
         )
+    except (CharacterizationError, FittingError) as error:
+        return {"sim_error": (type(error), str(error)), "fits": {}}
+    fits = {}
+    for base, edge, quantity in _TABLES:
+        if edge != transition:
+            continue
+        local = FitReport()
+        tables = error = None
         try:
-            cached = (
-                store.load(arc_token)
-                if store is not None and store.contains(arc_token)
-                else None
-            )
-            if cached is not None:
-                delay = cached.delay_samples[i, j]
-                transition_samples = cached.transition_samples[i, j]
-                nominal_delay = float(cached.nominal_delay[i, j])
-                nominal_transition = float(
-                    cached.nominal_transition[i, j]
-                )
-            else:
-                (
-                    delay,
-                    transition_samples,
-                    nominal_delay,
-                    nominal_transition,
-                ) = simulate_condition(
-                    engine,
-                    topology,
-                    cell.name,
-                    pin_name,
-                    transition,
-                    config,
-                    i,
-                    j,
-                )
-        except (CharacterizationError, FittingError) as error:
-            faults.arc_completed()
-            return {
-                "sim_error": (type(error).__name__, str(error)),
-                "nominal_delay": None,
-                "nominal_transition": None,
-                "fits": {},
-            }
-        fits: dict[str, dict] = {}
-        for quantity, samples in (
-            ("delay", delay),
-            ("transition", transition_samples),
-        ):
-            context = FitContext(
-                cell.name, pin_name, transition, quantity, i, j
-            )
-            try:
-                if policy is not None:
-                    fits[quantity] = {
-                        "outcome": policy.fit(samples, context=context)
-                    }
-                else:
-                    with telemetry.span("fit.point", stage="fitting"):
-                        fits[quantity] = {
-                            "model": LVF2Model.fit(samples)
-                        }
-            except (CharacterizationError, FittingError) as error:
-                fits[quantity] = {
-                    "error": (type(error).__name__, str(error))
-                }
-    faults.arc_completed()
-    return {
-        "sim_error": None,
-        "nominal_delay": nominal_delay,
-        "nominal_transition": nominal_transition,
-        "fits": fits,
-    }
+            models = _fit_models(char, quantity, policy, local)
+        except (CharacterizationError, FittingError) as caught:
+            error = (type(caught), str(caught))
+        else:
+            tables = _lvf2_tables(base, char, quantity, models)
+        fits[base] = {"report": local, "tables": tables, "error": error}
+    return {"sim_error": None, "fits": fits}
 
 
-def _assemble_pin_from_grid(
-    cell: CellDefinition,
+def _fold_pin(
+    cell_name: str,
     pin_name: str,
-    config: CharacterizationConfig,
-    points: dict,
+    edges: dict[str, dict],
+    report: FitReport,
     *,
-    policy: FitPolicy | None,
     isolate_errors: bool,
-) -> dict:
-    """Level-1 assembly: fold grid-point payloads into one pin payload.
+) -> TimingArc | None:
+    """Fold one pin's two edge payloads into its Liberty timing arc.
 
-    Replays the serial pin path over precomputed per-point results in
-    the exact serial order — simulation errors first (scanning the
-    whole rise grid, then the whole fall grid, row-major, the way
-    :func:`characterize_arc` visits conditions), then fits in Liberty
-    base order (``cell_rise``, ``rise_transition``, ``cell_fall``,
-    ``fall_transition``; slews outer, loads inner).  Fit outcomes are
-    re-recorded into a fresh :class:`FitReport` in that order, so the
-    assembled :class:`TimingArc`, the report records and any
-    quarantine entry are byte-identical to what :func:`_pin_payload`
-    would have produced.
-
-    ``points`` maps ``(transition, i, j)`` to grid-point payloads.
-    Returns the same ``{"arc", "report", "stage", "error"}`` dict as
-    :func:`_pin_payload` (level 2 — per-cell Liberty assembly — is
-    :func:`_characterize_cell`, shared by every path).
+    Replays the serial precedence: a rise simulation error, then a
+    fall simulation error, then the fit records and errors of
+    ``cell_rise``, ``rise_transition``, ``cell_fall`` and
+    ``fall_transition`` in that order.  Fit records reach ``report``
+    in that order up to the first error.  The first error is raised
+    as its original type or, with ``isolate_errors``, quarantines the
+    pin into ``report``; the fold then returns None.
     """
-    local = FitReport()
-    shape = config.grid_shape
-    label = f"{cell.name}/{pin_name}"
-    for transition in ("rise", "fall"):
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                sim_error = points[(transition, i, j)]["sim_error"]
-                if sim_error is None:
-                    continue
-                type_name, text = sim_error
-                if not isolate_errors:
-                    raise _PAYLOAD_ERRORS.get(
-                        type_name, CharacterizationError
-                    )(text)
-                local.quarantine(label, "simulate", text)
-                return {
-                    "arc": None,
-                    "report": local,
-                    "stage": "simulate",
-                    "error": text,
-                }
-    template = config.template()
-    arc = TimingArc(
-        related_pin=pin_name,
-        timing_sense="negative_unate",
-        timing_type="combinational",
-    )
-    quantity_map = (
-        ("cell_rise", "rise", "delay"),
-        ("rise_transition", "rise", "transition"),
-        ("cell_fall", "fall", "delay"),
-        ("fall_transition", "fall", "transition"),
-    )
-    for base, transition, quantity in quantity_map:
-        nominal_grid = np.empty(shape)
-        models = np.empty(shape, dtype=object)
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                point = points[(transition, i, j)]
-                nominal_grid[i, j] = point[
-                    "nominal_delay"
-                    if quantity == "delay"
-                    else "nominal_transition"
-                ]
-                fit = point["fits"][quantity]
-                error = fit.get("error")
-                if error is not None:
-                    type_name, text = error
-                    if not isolate_errors:
-                        raise _PAYLOAD_ERRORS.get(
-                            type_name, FittingError
-                        )(text)
-                    local.quarantine(label, "fit", text)
-                    return {
-                        "arc": None,
-                        "report": local,
-                        "stage": "fit",
-                        "error": text,
-                    }
-                if policy is not None:
-                    outcome = fit["outcome"]
-                    local.record_fit(
-                        FitContext(
-                            cell.name,
-                            pin_name,
-                            transition,
-                            quantity,
-                            i,
-                            j,
-                        ),
-                        outcome,
-                    )
-                    models[i, j] = outcome.model
-                else:
-                    models[i, j] = fit["model"]
-        nominal = Table(
-            template.name, config.slews, config.loads, nominal_grid
-        )
-        with telemetry.span("liberty.tables", stage="export", table=base):
-            arc.tables[base] = LVF2Tables.from_models(
-                base, nominal, models
-            )
-    return {"arc": arc, "report": local, "stage": None, "error": None}
+
+    def fail(stage: str, error: tuple[type, str]) -> None:
+        error_type, text = error
+        if not isolate_errors:
+            raise error_type(text)
+        report.quarantine(f"{cell_name}/{pin_name}", stage, text)
+
+    for transition in _EDGES:
+        if edges[transition]["sim_error"] is not None:
+            return fail("simulate", edges[transition]["sim_error"])
+    tables = {}
+    for base, transition, _ in _TABLES:
+        fit = edges[transition]["fits"][base]
+        report.merge(fit["report"])
+        if fit["error"] is not None:
+            return fail("fit", fit["error"])
+        tables[base] = fit["tables"]
+    return _timing_arc(pin_name, tables)
+
+
+def _edges(cells: Sequence[CellDefinition]):
+    """Every ``(cell, pin, transition)`` arc edge, in serial order."""
+    for cell in cells:
+        for pin_name in cell.inputs:
+            for transition in _EDGES:
+                yield cell, pin_name, transition
 
 
 def characterization_work_items(
@@ -870,254 +629,30 @@ def characterization_work_items(
     config: CharacterizationConfig,
     *,
     policy: FitPolicy | None = None,
-    isolate_errors: bool = False,
-    granularity: str = "pin",
 ) -> tuple[WorkItem, ...]:
-    """Pool work items for a library run, at the chosen granularity.
+    """Pool work items for a library run: one per arc edge.
 
-    ``"pin"`` (default): one item per (cell, input pin) — the whole
-    simulate-both-edges-and-fit payload.  Each item's companions are
-    the two per-edge Monte-Carlo tokens the task writes along the way
-    (claimed together so gc cannot evict them mid-flight, and shared
+    Items come in serial edge order.  Each item's companion is the
+    edge's Monte-Carlo token, which the task writes along the way
+    (claimed together so gc cannot evict it mid-flight, and shared
     byte-for-byte with serial runs on the same store).
-
-    ``"grid"``: one item per (cell, pin, edge, slew index, load
-    index) — a single condition's simulate-and-fit.  With 8x8 grids a
-    pin is 128 grid points, so this granularity load-balances
-    per-pin-dominated workloads across many cores where pin items
-    would leave workers idle.  Grid items carry no companions (they
-    only *read* a full-arc Monte-Carlo entry if one already exists)
-    and set :attr:`WorkItem.group` to the pin they fold into during
-    two-level assembly.
-
-    Raises:
-        ParameterError: On an unknown granularity.
     """
-    if granularity not in GRANULARITIES:
-        raise ParameterError(
-            f"granularity must be one of {GRANULARITIES}, "
-            f"got {granularity!r}"
+    return tuple(
+        WorkItem(
+            token=edge_fit_token(
+                engine, cell, pin_name, transition, config, policy=policy
+            ),
+            label=f"{cell.name}/{pin_name}/{transition}",
+            task=_edge_payload,
+            args=(engine, cell, pin_name, transition, config, policy),
+            companions=(
+                arc_checkpoint_token(
+                    engine, cell, pin_name, transition, config
+                ),
+            ),
         )
-    items = []
-    if granularity == "grid":
-        rows, cols = config.grid_shape
-        for cell in cells:
-            for pin_name in cell.inputs:
-                for transition in ("rise", "fall"):
-                    for i in range(rows):
-                        for j in range(cols):
-                            items.append(
-                                WorkItem(
-                                    token=grid_point_token(
-                                        engine,
-                                        cell,
-                                        pin_name,
-                                        transition,
-                                        config,
-                                        i,
-                                        j,
-                                        policy=policy,
-                                    ),
-                                    label=(
-                                        f"{cell.name}/{pin_name}"
-                                        f"/{transition}[{i},{j}]"
-                                    ),
-                                    task=_grid_point_task,
-                                    args=(
-                                        engine,
-                                        cell,
-                                        pin_name,
-                                        transition,
-                                        config,
-                                        i,
-                                        j,
-                                        policy,
-                                    ),
-                                    group=f"{cell.name}/{pin_name}",
-                                )
-                            )
-        return tuple(items)
-    for cell in cells:
-        for pin_name in cell.inputs:
-            rise = arc_checkpoint_token(
-                engine, cell, pin_name, "rise", config
-            )
-            fall = arc_checkpoint_token(
-                engine, cell, pin_name, "fall", config
-            )
-            items.append(
-                WorkItem(
-                    token=pin_fit_token(
-                        engine,
-                        cell,
-                        pin_name,
-                        config,
-                        policy=policy,
-                        isolate_errors=isolate_errors,
-                    ),
-                    label=f"{cell.name}/{pin_name}",
-                    task=_characterize_pin_task,
-                    args=(
-                        engine,
-                        cell,
-                        pin_name,
-                        config,
-                        policy,
-                        isolate_errors,
-                    ),
-                    companions=(rise, fall),
-                )
-            )
-    return tuple(items)
-
-
-def _assemble_pin_from_store(
-    reader: CheckpointStore,
-    engine: GateTimingEngine,
-    cell: CellDefinition,
-    pin_name: str,
-    config: CharacterizationConfig,
-    *,
-    policy: FitPolicy | None,
-    isolate_errors: bool,
-) -> dict:
-    """Load one pin's grid-point payloads and fold them into a pin
-    payload (level 1 of the two-level assembly)."""
-    rows, cols = config.grid_shape
-    points: dict = {}
-    for transition in ("rise", "fall"):
-        for i in range(rows):
-            for j in range(cols):
-                token = grid_point_token(
-                    engine,
-                    cell,
-                    pin_name,
-                    transition,
-                    config,
-                    i,
-                    j,
-                    policy=policy,
-                )
-                point = reader.load(token)
-                if point is None:  # pragma: no cover - defensive
-                    point = _grid_point_task(
-                        reader,
-                        engine,
-                        cell,
-                        pin_name,
-                        transition,
-                        config,
-                        i,
-                        j,
-                        policy,
-                    )
-                points[(transition, i, j)] = point
-    with telemetry.span(
-        "pool.assemble",
-        label=f"{cell.name}/{pin_name}",
-        n_points=len(points),
-    ):
-        return _assemble_pin_from_grid(
-            cell,
-            pin_name,
-            config,
-            points,
-            policy=policy,
-            isolate_errors=isolate_errors,
-        )
-
-
-def _parallel_supplier(
-    engine: GateTimingEngine,
-    cells: Sequence[CellDefinition],
-    config: CharacterizationConfig,
-    *,
-    checkpoint: CheckpointStore | None,
-    policy: FitPolicy | None,
-    isolate_errors: bool,
-    workers: int,
-    pool,
-    granularity: str = "pin",
-):
-    """Run the worker pool, pre-load every pin payload, hand back a
-    ``supplier(cell, pin) -> payload`` for serial-order assembly.
-
-    At ``"grid"`` granularity the pre-load step *is* level 1 of the
-    two-level assembly: each pin's grid-point payloads are folded into
-    a pin payload here, in serial order, before the per-cell Liberty
-    assembly (level 2) consumes them.
-
-    Without a caller-provided store the pool runs over a temporary
-    directory removed before assembly starts (payloads are held in
-    memory by then).
-    """
-    from repro.runtime.pool.pool import PoolConfig, run_pool
-
-    items = characterization_work_items(
-        engine,
-        cells,
-        config,
-        policy=policy,
-        isolate_errors=isolate_errors,
-        granularity=granularity,
+        for cell, pin_name, transition in _edges(cells)
     )
-    temp_dir = None
-    store = checkpoint
-    if store is None:
-        temp_dir = tempfile.mkdtemp(prefix="repro-pool-")
-        store = CheckpointStore(temp_dir, reuse=True)
-    try:
-        pool_config = pool or PoolConfig(
-            n_workers=workers, seed=config.seed
-        )
-        run_pool(items, store, pool_config)
-        reader = (
-            store
-            if store.reuse
-            else CheckpointStore(store.directory, reuse=True)
-        )
-        payloads: dict[tuple[str, str], dict] = {}
-        for cell in cells:
-            for pin_name in cell.inputs:
-                if granularity == "grid":
-                    payload = _assemble_pin_from_store(
-                        reader,
-                        engine,
-                        cell,
-                        pin_name,
-                        config,
-                        policy=policy,
-                        isolate_errors=isolate_errors,
-                    )
-                else:
-                    token = pin_fit_token(
-                        engine,
-                        cell,
-                        pin_name,
-                        config,
-                        policy=policy,
-                        isolate_errors=isolate_errors,
-                    )
-                    payload = reader.load(token)
-                    if payload is None:  # pragma: no cover - defensive
-                        payload = _pin_payload(
-                            engine,
-                            cell,
-                            pin_name,
-                            config,
-                            checkpoint=reader,
-                            policy=policy,
-                            isolate_errors=isolate_errors,
-                        )
-                payloads[(cell.name, pin_name)] = payload
-    finally:
-        if temp_dir is not None:
-            shutil.rmtree(temp_dir, ignore_errors=True)
-
-    def supplier(cell: CellDefinition, pin_name: str) -> dict:
-        return payloads[(cell.name, pin_name)]
-
-    return supplier
 
 
 def characterization_tokens(
@@ -1126,51 +661,21 @@ def characterization_tokens(
     config: CharacterizationConfig,
     *,
     policy: FitPolicy | None = None,
-    isolate_errors: bool = False,
 ) -> tuple[str, ...]:
     """Every token a run of this configuration can read or write.
 
     The full valid set for :meth:`CheckpointStore.gc`: per-edge
-    Monte-Carlo tokens, per-pin fit tokens and per-grid-point fit
-    tokens.  Collecting against arc tokens alone would evict the pin-
-    and grid-level payloads a pool run left behind, forcing the next
-    resume to re-fit everything.
+    Monte-Carlo tokens and per-edge fit tokens.  Collecting against
+    Monte-Carlo tokens alone would evict the fit payloads a pool run
+    left behind, forcing the next resume to re-fit everything.
     """
-    rows, cols = config.grid_shape
-    tokens: list[str] = []
-    for cell in cells:
-        for pin_name in cell.inputs:
-            tokens.append(
-                pin_fit_token(
-                    engine,
-                    cell,
-                    pin_name,
-                    config,
-                    policy=policy,
-                    isolate_errors=isolate_errors,
-                )
-            )
-            for transition in ("rise", "fall"):
-                tokens.append(
-                    arc_checkpoint_token(
-                        engine, cell, pin_name, transition, config
-                    )
-                )
-                for i in range(rows):
-                    for j in range(cols):
-                        tokens.append(
-                            grid_point_token(
-                                engine,
-                                cell,
-                                pin_name,
-                                transition,
-                                config,
-                                i,
-                                j,
-                                policy=policy,
-                            )
-                        )
-    return tuple(tokens)
+    return tuple(
+        token
+        for item in characterization_work_items(
+            engine, cells, config, policy=policy
+        )
+        for token in (item.token, *item.companions)
+    )
 
 
 def characterize_library(
@@ -1186,7 +691,6 @@ def characterize_library(
     progress: ProgressReporter | None = None,
     workers: int = 1,
     pool=None,
-    granularity: str = "pin",
 ) -> Library:
     """Characterise a cell list into a complete LVF2 Liberty library.
 
@@ -1204,7 +708,7 @@ def characterize_library(
             fitting fails terminally is quarantined into ``report``
             (the library is emitted without it) instead of raising.
         progress: Optional progress reporter (one line per arc).
-        workers: When > 1, split the per-pin simulate+fit work across
+        workers: When > 1, split the per-edge simulate+fit work across
             that many worker processes (claim-file coordination over
             the checkpoint directory; see ``repro.runtime.pool``).
             The resulting library and report are byte-identical to a
@@ -1212,17 +716,7 @@ def characterize_library(
         pool: Optional :class:`~repro.runtime.pool.PoolConfig`
             overriding the derived pool settings (implies parallel
             even when ``workers`` is 1).
-        granularity: Parallel work-unit size, ``"pin"`` (default) or
-            ``"grid"`` (one claimable item per grid condition; see
-            :func:`characterization_work_items`).  Serial runs ignore
-            it beyond validation — and every granularity/worker-count
-            combination produces byte-identical output.
     """
-    if granularity not in GRANULARITIES:
-        raise ParameterError(
-            f"granularity must be one of {GRANULARITIES}, "
-            f"got {granularity!r}"
-        )
     reporter = progress or ProgressReporter(enabled=False)
     template = config.template()
     library = Library(
@@ -1238,38 +732,40 @@ def characterize_library(
     )
     library.templates[template.name] = template
     if workers > 1 or pool is not None:
-        supplier = _parallel_supplier(
-            engine,
-            cells,
-            config,
-            checkpoint=checkpoint,
-            policy=policy,
-            isolate_errors=isolate_errors,
-            workers=workers,
-            pool=pool,
-            granularity=granularity,
+        from repro.runtime.pool.pool import PoolConfig, pool_payloads
+
+        payloads = iter(
+            pool_payloads(
+                characterization_work_items(
+                    engine, cells, config, policy=policy
+                ),
+                checkpoint,
+                pool or PoolConfig(n_workers=workers, seed=config.seed),
+            )
         )
     else:
-
-        def supplier(cell: CellDefinition, pin_name: str) -> dict:
-            return _pin_payload(
+        payloads = (
+            _edge_payload(
+                checkpoint,
                 engine,
                 cell,
                 pin_name,
+                transition,
                 config,
-                checkpoint=checkpoint,
-                policy=policy,
-                isolate_errors=isolate_errors,
+                policy,
             )
-
+            for cell, pin_name, transition in _edges(cells)
+        )
+    fit_report = report if report is not None else FitReport()
     for cell in cells:
         with telemetry.span("characterize.cell", cell=cell.name):
             lib_cell = _characterize_cell(
                 cell,
                 config,
-                supplier=supplier,
-                report=report,
+                payloads,
+                report=fit_report,
                 reporter=reporter,
+                isolate_errors=isolate_errors,
             )
         library.cells[cell.name] = lib_cell
     return library
@@ -1278,17 +774,18 @@ def characterize_library(
 def _characterize_cell(
     cell: CellDefinition,
     config: CharacterizationConfig,
+    payloads: Iterator[dict],
     *,
-    supplier,
-    report: FitReport | None,
+    report: FitReport,
     reporter: ProgressReporter,
+    isolate_errors: bool,
 ) -> LibCell:
-    """Assemble one Liberty cell from per-pin payloads, serial order.
+    """Assemble one Liberty cell from its edge payloads, serial order.
 
-    ``supplier(cell, pin) -> payload`` abstracts over where the payload
-    came from (computed inline or loaded from a pool's checkpoint
-    store); assembly order — and therefore report order and Liberty
-    output — is the cell/pin iteration order either way.
+    ``payloads`` yields edge payloads in :func:`_edges` order, whether
+    computed inline or loaded from a pool's checkpoint store; assembly
+    order — and therefore report order and Liberty output — is the
+    cell/pin iteration order either way.
     """
     lib_cell = LibCell(name=cell.name, area=1.0 + cell.drive)
     for pin_name in cell.inputs:
@@ -1301,19 +798,24 @@ def _characterize_cell(
         name=cell.output, direction="output", function=cell.function
     )
     for pin_name in cell.inputs:
-        payload = supplier(cell, pin_name)
-        if report is not None:
-            report.merge(payload["report"])
-        if payload["error"] is not None:
+        edges = {transition: next(payloads) for transition in _EDGES}
+        arc = _fold_pin(
+            cell.name,
+            pin_name,
+            edges,
+            report,
+            isolate_errors=isolate_errors,
+        )
+        if arc is None:
+            entry = report.quarantined[-1]
             reporter.info(
-                "quarantined %s/%s (%s): %s",
-                cell.name,
-                pin_name,
-                payload["stage"],
-                payload["error"],
+                "quarantined %s (%s): %s",
+                entry.arc,
+                entry.stage,
+                entry.error,
             )
             continue
-        output.arcs.append(payload["arc"])
+        output.arcs.append(arc)
         reporter.info(
             "characterized %s/%s (%dx%d grid, %d samples)",
             cell.name,

@@ -129,9 +129,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_checkpoint_gc(
-    args, store, engine, cells, config, *, policy, isolate_errors
-) -> None:
+def _run_checkpoint_gc(args, store, engine, cells, config, *, policy) -> None:
     """Drop checkpoint entries orphaned by the current configuration."""
     from repro.circuits.characterize import characterization_tokens
 
@@ -140,15 +138,9 @@ def _run_checkpoint_gc(
             "--checkpoint-gc/--checkpoint-max-age/--checkpoint-max-bytes "
             "require --checkpoint-dir pointing at the store to collect"
         )
-    # The full valid set — arc Monte-Carlo, per-pin fit and per-grid-
-    # point fit tokens — so payloads a pool run left behind survive gc.
-    tokens = characterization_tokens(
-        engine,
-        cells,
-        config,
-        policy=policy,
-        isolate_errors=isolate_errors,
-    )
+    # The full valid set — per-edge Monte-Carlo and fit tokens — so
+    # payloads a pool run left behind survive gc.
+    tokens = characterization_tokens(engine, cells, config, policy=policy)
     max_age = (
         args.checkpoint_max_age * 3600.0
         if args.checkpoint_max_age is not None
@@ -207,15 +199,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         or args.checkpoint_max_age is not None
         or args.checkpoint_max_bytes is not None
     ):
-        _run_checkpoint_gc(
-            args,
-            store,
-            engine,
-            cells,
-            config,
-            policy=policy,
-            isolate_errors=isolate_errors,
-        )
+        _run_checkpoint_gc(args, store, engine, cells, config, policy=policy)
 
     session = None
     if args.trace or args.metrics or args.manifest:
@@ -266,7 +250,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 progress=ProgressReporter(enabled=args.progress),
                 workers=args.workers,
                 pool=pool_config,
-                granularity=args.granularity,
             )
             text = library.to_text()
             if args.out:
@@ -284,7 +267,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 config_hash=run_fingerprint(engine, cells, config),
                 seed=args.seed,
                 workers=args.workers,
-                granularity=args.granularity,
                 n_samples=args.samples,
                 grid=[grid, grid],
                 cells=list(args.cells),
@@ -738,7 +720,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 checkpoint=_checkpoint_store(args),
                 workers=args.workers,
                 pool=pool_config,
-                granularity=args.granularity,
                 **scale_kwargs,
             )
     finally:
@@ -755,7 +736,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             config={
                 "samples": samples,
                 "workers": args.workers,
-                "granularity": args.granularity,
                 "paper": bool(args.paper),
                 "smoke": bool(args.smoke),
             },
@@ -892,15 +872,6 @@ def _add_pool_flags(
         metavar="SECONDS",
         help="with --workers: seconds without a heartbeat before a "
         "dead worker's claim is reclaimed",
-    )
-    parser.add_argument(
-        "--granularity",
-        choices=("pin", "grid"),
-        default="pin",
-        help="with --workers: work-unit size — 'pin' (one claim per "
-        "cell/pin payload) or 'grid' (one claim per slew-load grid "
-        "point; load-balances per-pin-dominated workloads); output "
-        "is byte-identical either way",
     )
     parser.add_argument(
         "--claim-skew",

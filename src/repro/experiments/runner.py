@@ -68,7 +68,6 @@ def run_all(
     checkpoint: CheckpointStore | None = None,
     workers: int = 1,
     pool=None,
-    granularity: str = "pin",
     fig4_samples: int | None = None,
     fig5_samples: int | None = None,
     clt_samples: int | None = None,
@@ -90,8 +89,6 @@ def run_all(
             byte-identical to a serial sweep.
         pool: Optional :class:`~repro.runtime.pool.PoolConfig`
             override forwarded to the Table 2 sweep.
-        granularity: Pool work-unit size for the Table 2 sweep,
-            ``"pin"`` or ``"grid"``.
         fig4_samples: Monte-Carlo population override for the Fig. 4
             accuracy map (None: the experiment's own scale).
         fig5_samples: Population override for the Fig. 5 paths.
@@ -123,7 +120,6 @@ def run_all(
             checkpoint=checkpoint,
             workers=workers,
             pool=pool,
-            granularity=granularity,
         )
     reporter.info("fig4: accuracy pattern ...")
     with telemetry.span("experiment", experiment="fig4"):

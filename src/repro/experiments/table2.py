@@ -15,8 +15,6 @@ paper-scale 8x8 x 50k run.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +27,12 @@ from repro.binning.metrics import (
 )
 from repro.circuits.cells import CELL_TYPES, build_cell
 from repro.circuits.characterize import (
-    GRANULARITIES,
     PAPER_LOADS,
     PAPER_SLEWS,
     CharacterizationConfig,
     arc_checkpoint_token,
     characterize_arc,
-    simulate_condition,
 )
-from repro.errors import ParameterError
 from repro.circuits.gate import GateTimingEngine
 from repro.circuits.process import TT_GLOBAL_LOCAL_MC
 from repro.experiments.common import (
@@ -56,7 +51,6 @@ __all__ = [
     "Table2Row",
     "Table2Result",
     "run_table2",
-    "table2_point_token",
     "table2_score_token",
     "table2_work_items",
     "PAPER_TABLE2_OVERALL",
@@ -262,142 +256,13 @@ def _score_arc_task(
     return {"reductions": scratch.reductions}
 
 
-def table2_point_token(
-    engine: GateTimingEngine,
-    cell,
-    pin: str,
-    transition: str,
-    char_config: CharacterizationConfig,
-    i: int,
-    j: int,
-) -> str:
-    """Content token of one grid condition's scored reductions."""
-    mc_token = arc_checkpoint_token(
-        engine, cell, pin, transition, char_config
-    )
-    return f"table2-score-point|{mc_token}|{i}|{j}|metrics-v1"
-
-
-def _score_point_task(
-    store: CheckpointStore | None,
-    engine: GateTimingEngine,
-    cell,
-    pin: str,
-    transition: str,
-    char_config: CharacterizationConfig,
-    i: int,
-    j: int,
-) -> dict:
-    """Pool task: score one grid condition of one arc.
-
-    Simulates (or slices from an existing full-arc Monte-Carlo
-    checkpoint — content addressing makes the slice byte-identical)
-    the condition's samples and scores both quantities.  Per-condition
-    seeds are independent, so the scored values match the
-    corresponding entries of :func:`_score_arc_task` exactly.
-    """
-    topology = cell.arc(pin, transition)
-    mc_token = arc_checkpoint_token(
-        engine, cell, pin, transition, char_config
-    )
-    cached = (
-        store.load(mc_token)
-        if store is not None and store.contains(mc_token)
-        else None
-    )
-    if cached is not None:
-        delay = cached.delay_samples[i, j]
-        transition_samples = cached.transition_samples[i, j]
-    else:
-        delay, transition_samples, _, _ = simulate_condition(
-            engine,
-            topology,
-            cell.name,
-            pin,
-            transition,
-            char_config,
-            i,
-            j,
-        )
-    scratch = Table2Row(cell_type=cell.name)
-    for quantity, samples in (
-        ("delay", delay),
-        ("transition", transition_samples),
-    ):
-        _score_condition(scratch, quantity, samples)
-    return {"reductions": scratch.reductions}
-
-
-def _gather_point_scores(
-    store: CheckpointStore,
-    engine: GateTimingEngine,
-    cell,
-    pin: str,
-    transition: str,
-    char_config: CharacterizationConfig,
-) -> dict:
-    """Fold one arc's grid-point scores back into arc-level lists.
-
-    The level-1 assembly of the grid granularity: reduction lists are
-    extended metric-prefix-major (all delay conditions in row-major
-    order, then all transition conditions) — the exact accumulation
-    order of the serial loop in :func:`_score_arc_task` — so the
-    resulting payload is value-identical to the arc-level one.
-    """
-    rows = len(char_config.slews)
-    cols = len(char_config.loads)
-    points: dict = {}
-    for i in range(rows):
-        for j in range(cols):
-            payload = store.load(
-                table2_point_token(
-                    engine, cell, pin, transition, char_config, i, j
-                )
-            )
-            if payload is None:  # pragma: no cover - defensive
-                payload = _score_point_task(
-                    store,
-                    engine,
-                    cell,
-                    pin,
-                    transition,
-                    char_config,
-                    i,
-                    j,
-                )
-            points[(i, j)] = payload
-    scratch = Table2Row(cell_type=cell.name)
-    for metric_prefix in ("delay", "transition"):
-        for i in range(rows):
-            for j in range(cols):
-                reductions = points[(i, j)]["reductions"]
-                for suffix in ("binning", "yield"):
-                    metric = f"{metric_prefix}_{suffix}"
-                    for model, values in scratch.reductions[
-                        metric
-                    ].items():
-                        values.extend(reductions[metric][model])
-    return {"reductions": scratch.reductions}
-
-
 def table2_work_items(
     engine: GateTimingEngine,
     cfg: Table2Config,
     char_config: CharacterizationConfig,
-    *,
-    granularity: str = "pin",
 ) -> tuple[WorkItem, ...]:
-    """Pool work items for Table 2.
-
-    ``"pin"`` (default): one item per scored arc.  ``"grid"``: one
-    item per (arc, slew index, load index) condition, grouped by arc
-    for the two-level assembly.
-    """
-    if granularity not in GRANULARITIES:
-        raise ParameterError(
-            f"granularity must be one of {GRANULARITIES}, "
-            f"got {granularity!r}"
-        )
+    """Pool work items for Table 2: one per scored arc edge, in the
+    serial order :func:`run_table2` assembles them."""
     items = []
     for cell_type in cfg.cell_types:
         for drive in cfg.drives:
@@ -405,41 +270,6 @@ def table2_work_items(
             for pin, transition in _arc_list(
                 cell, cfg.max_arcs_per_cell
             ):
-                if granularity == "grid":
-                    for i in range(len(cfg.slews)):
-                        for j in range(len(cfg.loads)):
-                            items.append(
-                                WorkItem(
-                                    token=table2_point_token(
-                                        engine,
-                                        cell,
-                                        pin,
-                                        transition,
-                                        char_config,
-                                        i,
-                                        j,
-                                    ),
-                                    label=(
-                                        f"{cell.name}/{pin}"
-                                        f"/{transition}[{i},{j}]"
-                                    ),
-                                    task=_score_point_task,
-                                    args=(
-                                        engine,
-                                        cell,
-                                        pin,
-                                        transition,
-                                        char_config,
-                                        i,
-                                        j,
-                                    ),
-                                    group=(
-                                        f"{cell.name}/{pin}"
-                                        f"/{transition}"
-                                    ),
-                                )
-                            )
-                    continue
                 mc_token = arc_checkpoint_token(
                     engine, cell, pin, transition, char_config
                 )
@@ -471,7 +301,6 @@ def run_table2(
     checkpoint: CheckpointStore | None = None,
     workers: int = 1,
     pool=None,
-    granularity: str = "pin",
 ) -> Table2Result:
     """Regenerate Table 2.
 
@@ -489,15 +318,7 @@ def run_table2(
             content-addressed and assembled in serial arc order.
         pool: Optional :class:`~repro.runtime.pool.PoolConfig`
             override (implies parallel even when ``workers`` is 1).
-        granularity: Parallel work-unit size, ``"pin"`` (one item per
-            scored arc, default) or ``"grid"`` (one item per grid
-            condition, folded back per arc in serial order).
     """
-    if granularity not in GRANULARITIES:
-        raise ParameterError(
-            f"granularity must be one of {GRANULARITIES}, "
-            f"got {granularity!r}"
-        )
     reporter = ProgressReporter.from_flag(progress)
     cfg = config or Table2Config.auto()
     sim = engine or GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
@@ -507,95 +328,71 @@ def run_table2(
         n_samples=cfg.n_samples,
         seed=cfg.seed,
     )
-    score_store: CheckpointStore | None = None
-    pooled = False
-    temp_dir = None
+    pooled = None
     if workers > 1 or pool is not None:
-        from repro.runtime.pool.pool import PoolConfig, run_pool
+        from repro.runtime.pool.pool import PoolConfig, pool_payloads
 
-        store = checkpoint
-        if store is None:
-            temp_dir = tempfile.mkdtemp(prefix="repro-pool-")
-            store = CheckpointStore(temp_dir, reuse=True)
-        items = table2_work_items(
-            sim, cfg, char_config, granularity=granularity
-        )
-        run_pool(
-            items,
-            store,
-            pool or PoolConfig(n_workers=workers, seed=cfg.seed),
-        )
-        score_store = (
-            store
-            if store.reuse
-            else CheckpointStore(store.directory, reuse=True)
-        )
-        pooled = True
-    elif checkpoint is not None and checkpoint.reuse:
-        # Serial runs resume scored payloads a previous pool run left
-        # in the same store (they never *write* them — serial write
-        # behaviour is unchanged).
-        score_store = checkpoint
-    try:
-        rows: dict[str, Table2Row] = {}
-        for cell_type in cfg.cell_types:
-            row = Table2Row(cell_type=cell_type)
-            for drive in cfg.drives:
-                cell = build_cell(cell_type, drive)
-                for pin, transition in _arc_list(
-                    cell, cfg.max_arcs_per_cell
-                ):
-                    if pooled and granularity == "grid":
-                        # Level-1 assembly: fold the arc's grid-point
-                        # scores back together in serial order.
-                        payload = _gather_point_scores(
-                            score_store,
-                            sim,
-                            cell,
-                            pin,
-                            transition,
-                            char_config,
-                        )
-                    else:
-                        payload = (
-                            score_store.load(
-                                table2_score_token(
-                                    sim,
-                                    cell,
-                                    pin,
-                                    transition,
-                                    char_config,
-                                )
-                            )
-                            if score_store is not None
-                            else None
-                        )
-                    if payload is None:
-                        payload = _score_arc_task(
-                            checkpoint,
-                            sim,
-                            cell,
-                            pin,
-                            transition,
-                            char_config,
-                        )
-                    row.n_arcs += 1
-                    for metric, models in row.reductions.items():
-                        for model in models:
-                            models[model].extend(
-                                payload["reductions"][metric][model]
-                            )
-            rows[cell_type] = row
-            reporter.info(
-                "%-6s arcs=%3d dly_bin LVF2=%.2f",
-                cell_type,
-                row.n_arcs,
-                row.mean_reduction("delay_binning", "LVF2"),
+        pooled = iter(
+            pool_payloads(
+                table2_work_items(sim, cfg, char_config),
+                checkpoint,
+                pool or PoolConfig(n_workers=workers, seed=cfg.seed),
             )
-    finally:
-        if temp_dir is not None:
-            shutil.rmtree(temp_dir, ignore_errors=True)
+        )
+    rows: dict[str, Table2Row] = {}
+    for cell_type in cfg.cell_types:
+        row = Table2Row(cell_type=cell_type)
+        for drive in cfg.drives:
+            cell = build_cell(cell_type, drive)
+            for pin, transition in _arc_list(
+                cell, cfg.max_arcs_per_cell
+            ):
+                payload = (
+                    next(pooled)
+                    if pooled is not None
+                    else _serial_score(
+                        checkpoint, sim, cell, pin, transition, char_config
+                    )
+                )
+                row.n_arcs += 1
+                for metric, models in row.reductions.items():
+                    for model in models:
+                        models[model].extend(
+                            payload["reductions"][metric][model]
+                        )
+        rows[cell_type] = row
+        reporter.info(
+            "%-6s arcs=%3d dly_bin LVF2=%.2f",
+            cell_type,
+            row.n_arcs,
+            row.mean_reduction("delay_binning", "LVF2"),
+        )
     return Table2Result(rows=rows, config=cfg)
+
+
+def _serial_score(
+    checkpoint: CheckpointStore | None,
+    engine: GateTimingEngine,
+    cell,
+    pin: str,
+    transition: str,
+    char_config: CharacterizationConfig,
+) -> dict:
+    """One arc's scored payload, computed inline.
+
+    Serial runs resume scored payloads a previous pool run left in a
+    reuse-mode store; they never write them, so serial write
+    behaviour is unchanged.
+    """
+    if checkpoint is not None and checkpoint.reuse:
+        payload = checkpoint.load(
+            table2_score_token(engine, cell, pin, transition, char_config)
+        )
+        if payload is not None:
+            return payload
+    return _score_arc_task(
+        checkpoint, engine, cell, pin, transition, char_config
+    )
 
 
 def _score_condition(

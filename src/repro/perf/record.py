@@ -22,7 +22,7 @@ Schema ``repro.bench/1``::
       "schema": "repro.bench/1",
       "created_at": <epoch seconds>,
       "host": {"machine": ..., "python": ..., "numpy": ...},
-      "config": {"samples": ..., "workers": ..., "granularity": ...},
+      "config": {"samples": ..., "workers": ..., "paper": ..., "smoke": ...},
       "calibration_s": <seconds>,
       "timings_s": {"fig3": ..., "table1": ..., ..., "total": ...}
     }
@@ -136,7 +136,7 @@ def build_report(
         timings: Per-experiment wall seconds (``experiment_timings``).
         calibration: :func:`calibrate` result from the same process.
         config: Run configuration worth refusing to compare across
-            (sample count, workers, granularity).
+            (sample count, workers, paper/smoke scale).
     """
     if calibration <= 0.0:
         raise ParameterError(

@@ -46,6 +46,7 @@ __all__ = [
     "WorkerStatus",
     "exit_family",
     "finalize_pool_meta",
+    "pool_payloads",
     "read_pool_status",
     "render_status",
     "run_pool",
@@ -78,6 +79,7 @@ _EXPORTS = MappingProxyType(
         "WorkerStatus": "repro.runtime.pool.status",
         "exit_family": "repro.runtime.pool.pool",
         "finalize_pool_meta": "repro.runtime.pool.status",
+        "pool_payloads": "repro.runtime.pool.pool",
         "read_pool_status": "repro.runtime.pool.status",
         "render_status": "repro.runtime.pool.status",
         "run_pool": "repro.runtime.pool.pool",

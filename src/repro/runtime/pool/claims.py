@@ -268,8 +268,8 @@ class ClaimStore:
         """Claim ``token`` (the lock) plus its companion tokens.
 
         The primary token decides ownership; companions (e.g. the
-        rise/fall Monte-Carlo tokens a fitted-pin payload depends on)
-        are claimed alongside so gc cannot evict them mid-flight.  A
+        Monte-Carlo token a fitted-edge payload depends on) are
+        claimed alongside so gc cannot evict them mid-flight.  A
         live foreign claim on any of them rolls the whole acquisition
         back and returns False.
         """

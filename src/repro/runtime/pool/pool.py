@@ -31,9 +31,11 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import shutil
 import socket
+import tempfile
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -65,7 +67,7 @@ from repro.runtime.pool.worker import (
     worker_main,
 )
 
-__all__ = ["PoolConfig", "PoolResult", "run_pool"]
+__all__ = ["PoolConfig", "PoolResult", "pool_payloads", "run_pool"]
 
 #: Exit code -> error-family label for aggregation (read-only).
 _FAMILY_BY_CODE = MappingProxyType(
@@ -423,9 +425,6 @@ def run_pool(
         telemetry.counter_inc("pool.status_write_errors")
 
     telemetry.gauge_set("pool.workers", config.n_workers)
-    groups = {item.group for item in sequence if item.group}
-    if groups:
-        telemetry.gauge_set("pool.groups", len(groups))
     telemetry.counter_inc("pool.items", len(sequence))
     telemetry.counter_inc("pool.parent_computed", computed)
     telemetry.counter_inc("pool.reclaimed", reclaimed)
@@ -444,3 +443,39 @@ def run_pool(
         merge_trace_files(result.worker_traces, merged)
         result.merged_trace = merged
     return result
+
+
+def pool_payloads(
+    items: Sequence[WorkItem],
+    store: CheckpointStore | None,
+    config: PoolConfig,
+) -> list:
+    """Run the pool over ``items`` and return their payloads in order.
+
+    Without a caller-provided store the pool runs over a temporary
+    directory, removed before returning (the payloads are held in
+    memory by then).  An entry that cannot be loaded after the run
+    (torn or hidden by a hostile filesystem) is recomputed in-parent
+    through the item's own task.
+    """
+    temp_dir = None
+    if store is None:
+        temp_dir = tempfile.mkdtemp(prefix="repro-pool-")
+        store = CheckpointStore(temp_dir, reuse=True)
+    try:
+        run_pool(items, store, config)
+        reader = (
+            store
+            if store.reuse
+            else CheckpointStore(store.directory, reuse=True)
+        )
+        payloads = []
+        for item in items:
+            payload = reader.load(item.token)
+            if payload is None:
+                payload = item.task(reader, *item.args)
+            payloads.append(payload)
+        return payloads
+    finally:
+        if temp_dir is not None:
+            shutil.rmtree(temp_dir, ignore_errors=True)

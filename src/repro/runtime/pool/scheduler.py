@@ -33,7 +33,7 @@ class WorkItem:
     Attributes:
         token: Content token; its store key is both the claim-file
             name and the checkpoint key of the task's payload.
-        label: Human-readable label (``"INV_X1/A"``) for journals,
+        label: Human-readable label (``"INV_X1/A/rise"``) for journals,
             spans and progress lines.
         task: Top-level picklable callable executed as
             ``task(store, *args)``; its return value is saved under
@@ -41,12 +41,6 @@ class WorkItem:
         args: Positional arguments (must pickle under spawn).
         companions: Additional tokens the task writes (e.g. per-arc
             Monte-Carlo checkpoints); claimed alongside ``token``.
-        group: Assembly-group label for sub-pin work units — the
-            per-pin LUT a grid-point payload folds into during the
-            parent's two-level assembly.  Empty when the item is its
-            own assembly unit (pin granularity).  Scheduling ignores
-            it; journals and spans record it so a merged trace can be
-            grouped back into pins.
     """
 
     token: str
@@ -54,7 +48,6 @@ class WorkItem:
     task: Callable[..., object]
     args: tuple = ()
     companions: tuple[str, ...] = field(default=())
-    group: str = ""
 
     @property
     def key(self) -> str:

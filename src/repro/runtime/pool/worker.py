@@ -136,15 +136,9 @@ def execute_item(
             # Re-check after winning the claim: the previous owner may
             # have finished the payload before abandoning the claim.
             if not store.contains(item.token):
-                tags: dict[str, object] = {"label": item.label}
-                if item.group:
-                    tags["group"] = item.group
-                with telemetry.span("pool.item", **tags):
+                with telemetry.span("pool.item", label=item.label):
                     payload = item.task(store, *item.args)
                 store.save(item.token, payload)
-                record: dict[str, object] = {}
-                if item.group:
-                    record["group"] = item.group
                 journal.append(
                     "task",
                     key=item.key,
@@ -153,7 +147,6 @@ def execute_item(
                     host=socket.gethostname(),
                     pid=os.getpid(),
                     ts=time.time(),
-                    **record,
                 )
                 telemetry.counter_inc("pool.items_computed")
     except InjectedKill:

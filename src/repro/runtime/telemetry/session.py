@@ -67,7 +67,6 @@ NEVER_SAMPLED = frozenset(
         "pool.run",
         "pool.worker",
         "pool.item",
-        "pool.assemble",
         "ssta.propagate",
         "experiment.table2",
         "yield.estimate",

@@ -9,7 +9,7 @@ and recomputed, or at worst costs duplicated work — never a changed
 byte in the Liberty text or the fit-report JSON.
 
 Each sweep draws a reproducible fault storm from a seeded RNG
-(workers x granularity x fault mix x targeting mode); re-run a failure
+(workers x fault mix x targeting mode); re-run a failure
 via the sweep index in the parametrized test id.
 ``REPRO_CHAOS_SWEEPS`` bounds the sweep count (default 3; CI uses a
 small value to keep the chaos-smoke job fast).
@@ -41,7 +41,6 @@ from repro.circuits import (
     build_cell,
     characterize_library,
 )
-from repro.circuits.characterize import GRANULARITIES
 from repro.runtime import FitPolicy, FitReport
 from repro.runtime.checkpoint import QUARANTINE_SUFFIX, CheckpointStore
 from repro.runtime.faults import FaultPlan, FaultRule
@@ -92,9 +91,7 @@ def make_engine_and_cells():
     return engine, cells, config
 
 
-def characterize(
-    *, workers=1, pool=None, granularity="pin", checkpoint=None
-):
+def characterize(*, workers=1, pool=None, checkpoint=None):
     engine, cells, config = make_engine_and_cells()
     report = FitReport()
     library = characterize_library(
@@ -106,7 +103,6 @@ def characterize(
         isolate_errors=True,
         workers=workers,
         pool=pool,
-        granularity=granularity,
         checkpoint=checkpoint,
     )
     return library.to_text(), json.dumps(report.to_dict(), sort_keys=True)
@@ -204,7 +200,6 @@ def draw_storm(sweep):
     """One reproducible chaos configuration from the sweep index."""
     rng = np.random.default_rng([HARNESS_SEED, sweep])
     workers = int(rng.choice(WORKER_CHOICES))
-    granularity = str(rng.choice(GRANULARITIES))
     claim_skew = float(rng.uniform(1.0, 10.0))
     rules = draw_storm_rules(rng, claim_skew)
     kill_plans = None
@@ -244,7 +239,7 @@ def draw_storm(sweep):
         if inherit
         else None
     )
-    return pool, granularity, parent_plan
+    return pool, parent_plan
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +250,7 @@ def serial():
 class TestChaosSweep:
     @pytest.mark.parametrize("sweep", range(SWEEPS))
     def test_fault_storm_matches_serial(self, sweep, serial, tmp_path):
-        pool, granularity, parent_plan = draw_storm(sweep)
+        pool, parent_plan = draw_storm(sweep)
         store = CheckpointStore(tmp_path / "store", reuse=True)
         # ``inherit`` mode activates the plan in the parent: round-0
         # workers pick it up via active_fs_plan(), and the parent's
@@ -269,7 +264,6 @@ class TestChaosSweep:
             result = characterize(
                 workers=pool.n_workers,
                 pool=pool,
-                granularity=granularity,
                 checkpoint=store,
             )
         assert result == serial

@@ -1,9 +1,9 @@
 """Randomized cross-configuration byte-identity harness for the pool.
 
 The pool's core contract is that *no* configuration knob may change
-the output: worker count, work-unit granularity, claim timeout, pool
-seed, even a worker killed mid-run — the Liberty library text and the
-fit-report JSON must be byte-identical to a serial run in every case.
+the output: worker count, claim timeout, pool seed, even a worker
+killed mid-run — the Liberty library text and the fit-report JSON
+must be byte-identical to a serial run in every case.
 Rather than enumerate configurations by hand, this harness draws them
 from a seeded RNG so each CI run sweeps a reproducible slice of the
 configuration space (re-run a failure with the sweep index printed in
@@ -32,7 +32,7 @@ from repro.circuits import (
     characterize_library,
 )
 from repro.circuits.characterize import (
-    GRANULARITIES,
+    characterization_tokens,
     characterization_work_items,
 )
 from repro.runtime import FitPolicy, FitReport
@@ -55,13 +55,7 @@ def make_engine_and_cells():
     return engine, cells, config
 
 
-def characterize(
-    *,
-    workers=1,
-    pool=None,
-    granularity="pin",
-    checkpoint=None,
-):
+def characterize(*, workers=1, pool=None, checkpoint=None):
     engine, cells, config = make_engine_and_cells()
     report = FitReport()
     library = characterize_library(
@@ -73,7 +67,6 @@ def characterize(
         isolate_errors=True,
         workers=workers,
         pool=pool,
-        granularity=granularity,
         checkpoint=checkpoint,
     )
     return library.to_text(), json.dumps(report.to_dict(), sort_keys=True)
@@ -83,7 +76,6 @@ def draw_configuration(sweep):
     """One reproducible pool configuration from the sweep index."""
     rng = np.random.default_rng([HARNESS_SEED, sweep])
     workers = int(rng.choice(WORKER_CHOICES))
-    granularity = str(rng.choice(GRANULARITIES))
     claim_timeout = float(rng.uniform(20.0, 90.0))
     plans = None
     if workers > 1 and rng.random() < 0.5:
@@ -108,7 +100,7 @@ def draw_configuration(sweep):
         merge_traces=False,
         fault_plans=plans,
     )
-    return pool, granularity
+    return pool
 
 
 @pytest.fixture(scope="module")
@@ -121,13 +113,10 @@ class TestRandomizedIdentity:
     def test_random_configuration_matches_serial(
         self, sweep, serial, tmp_path
     ):
-        pool, granularity = draw_configuration(sweep)
+        pool = draw_configuration(sweep)
         store = CheckpointStore(tmp_path / "store", reuse=True)
         result = characterize(
-            workers=pool.n_workers,
-            pool=pool,
-            granularity=granularity,
-            checkpoint=store,
+            workers=pool.n_workers, pool=pool, checkpoint=store
         )
         assert result == serial
         # A finished pool never leaves a live claim behind, even when
@@ -139,19 +128,14 @@ class TestRandomizedIdentity:
         assert claims.scan(live_only=True) == ()
 
 
-class TestGridKillAndResume:
-    def test_grid_run_resumes_from_partial_store(self, serial, tmp_path):
-        # Simulate an interrupted grid-granularity run: a strict
-        # subset of grid-point payloads is already checkpointed.
+class TestEdgeKillAndResume:
+    def test_edge_run_resumes_from_partial_store(self, serial, tmp_path):
+        # Simulate an interrupted pool run: every third edge payload is
+        # already checkpointed.
         engine, cells, config = make_engine_and_cells()
         store = CheckpointStore(tmp_path / "store", reuse=True)
         items = characterization_work_items(
-            engine,
-            cells,
-            config,
-            policy=FitPolicy(),
-            isolate_errors=True,
-            granularity="grid",
+            engine, cells, config, policy=FitPolicy()
         )
         assert len(items) > 4
         for work in items[::3]:
@@ -161,18 +145,14 @@ class TestGridKillAndResume:
         pool = PoolConfig(
             n_workers=2, seed=11, merge_traces=False, claim_timeout=60.0
         )
-        result = characterize(
-            workers=2, pool=pool, granularity="grid", checkpoint=store
-        )
+        result = characterize(workers=2, pool=pool, checkpoint=store)
         assert result == serial
         assert ClaimStore(store.directory).scan(live_only=True) == ()
 
-    def test_killed_grid_run_then_pin_resume_matches_serial(
-        self, serial, tmp_path
-    ):
-        # Cross-granularity resume: a grid run that lost a worker
-        # completes, then a pin-granularity run over the same store
-        # reuses what it can — output identical both times.
+    def test_killed_run_then_resume_matches_serial(self, serial, tmp_path):
+        # A run that lost a worker completes, then a second run over
+        # the same store reuses its payloads — output identical both
+        # times.
         store = CheckpointStore(tmp_path / "store", reuse=True)
         plan = FaultPlan([FaultRule(kind="kill", after_arcs=2)])
         pool = PoolConfig(
@@ -182,16 +162,36 @@ class TestGridKillAndResume:
             claim_timeout=60.0,
             fault_plans={1: plan},
         )
-        first = characterize(
-            workers=2, pool=pool, granularity="grid", checkpoint=store
-        )
+        first = characterize(workers=2, pool=pool, checkpoint=store)
         assert first == serial
         second = characterize(
             workers=2,
             pool=PoolConfig(
                 n_workers=2, seed=4, merge_traces=False, claim_timeout=60.0
             ),
-            granularity="pin",
             checkpoint=store,
         )
         assert second == serial
+
+
+class TestCheckpointGc:
+    def test_gc_keeps_edge_entries_and_drops_legacy_fit_entries(
+        self, tmp_path
+    ):
+        # Pin-fit and grid-fit entries from older runs are no longer
+        # read; gc against the run's tokens must drop them and keep
+        # the edge payload with its Monte-Carlo companion.
+        engine, cells, config = make_engine_and_cells()
+        store = CheckpointStore(tmp_path / "store", reuse=True)
+        work = characterization_work_items(
+            engine, cells, config, policy=FitPolicy()
+        )[0]
+        store.save(work.token, work.task(store, *work.args))
+        store.save("pin-fit|legacy", {})
+        store.save("grid-fit|legacy", {})
+        tokens = characterization_tokens(
+            engine, cells, config, policy=FitPolicy()
+        )
+        assert store.gc(tokens) == 2
+        assert store.contains(work.token)
+        assert store.contains(work.companions[0])

@@ -12,6 +12,8 @@ Covers the two ISSUE acceptance criteria end to end:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.circuits.characterize import (
 )
 from repro.circuits.gate import GateTimingEngine
 from repro.circuits.process import TT_GLOBAL_LOCAL_MC
+from repro.errors import FittingError
 from repro.liberty.library import read_library
 from repro.runtime import (
     CheckpointStore,
@@ -32,6 +35,17 @@ from repro.runtime import (
     FitReport,
     InjectedKill,
     inject,
+)
+from repro.runtime.pool import PoolConfig
+
+#: Every ladder rung, placeholder included: a matching fit must fail.
+ALL_RUNGS = (
+    "LVF2",
+    "LVF2-reseed",
+    "Norm2",
+    "LVF",
+    "Gaussian",
+    "degenerate",
 )
 
 
@@ -256,6 +270,85 @@ class TestFaultIsolation:
                     policy=FitPolicy(),
                     isolate_errors=False,
                 )
+
+
+class TestPooledQuarantinePrecedence:
+    """The parent's edge fold replays serial quarantine-or-raise.
+
+    Faults fire only inside the pool workers, which record errors in
+    their edge payloads; the parent must turn them into the same
+    quarantine entries, or the same raised error, as a serial run.
+    """
+
+    @staticmethod
+    def characterize(engine, config, cells, rule, *, workers, isolate):
+        plan = FaultPlan([rule])
+        report = FitReport()
+        kwargs = dict(
+            policy=FitPolicy(), report=report, isolate_errors=isolate
+        )
+        if workers == 1:
+            with inject(plan):
+                library = characterize_library(
+                    engine, cells, config, **kwargs
+                )
+        else:
+            pool = PoolConfig(
+                n_workers=workers,
+                seed=config.seed,
+                merge_traces=False,
+                fault_plans={worker: plan for worker in range(workers)},
+            )
+            library = characterize_library(
+                engine, cells, config, workers=workers, pool=pool, **kwargs
+            )
+        return library.to_text(), json.dumps(
+            report.to_dict(), sort_keys=True
+        )
+
+    def test_pooled_quarantine_matches_serial(self, base_engine, config):
+        cells = [build_cell("INV"), build_cell("NAND2")]
+        rule = FaultRule(
+            "em_failure", cell="INV_X1", transition="fall", rungs=ALL_RUNGS
+        )
+        serial, pooled = [
+            self.characterize(
+                base_engine,
+                config,
+                cells,
+                rule,
+                workers=workers,
+                isolate=True,
+            )
+            for workers in (1, 2)
+        ]
+        assert pooled == serial
+        report = json.loads(pooled[1])
+        assert [(q["arc"], q["stage"]) for q in report["quarantined"]] == [
+            ("INV_X1/A", "fit")
+        ]
+        # Serial precedence keeps the INV rise records (2 quantities x
+        # 4 points) made before the failing fall-delay grid, plus
+        # NAND2's 2 pins x 16 fits.
+        assert report["n_fits"] == 8 + 32
+
+    def test_pooled_failure_propagates_like_serial(
+        self, base_engine, config
+    ):
+        rule = FaultRule("em_failure", cell="INV_X1", rungs=ALL_RUNGS)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(FittingError) as caught:
+                self.characterize(
+                    base_engine,
+                    config,
+                    [build_cell("INV")],
+                    rule,
+                    workers=workers,
+                    isolate=False,
+                )
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
 
 
 class TestPolicyGridEquivalence:

@@ -2,8 +2,8 @@
 
 These cover the degenerate shapes the characterisation pool meets in
 practice: empty work lists (everything already checkpointed), a single
-payload fanned across many workers, more workers than payloads (the
-grid-granularity motivation in reverse), and duplicate content keys.
+payload fanned across many workers, more workers than payloads, and
+duplicate content keys.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ def noop_task(store):
     return {}
 
 
-def item(token, label=None, group=""):
-    return WorkItem(
-        token=token, label=label or token, task=noop_task, group=group
-    )
+def item(token, label=None):
+    return WorkItem(token=token, label=label or token, task=noop_task)
 
 
 class TestEmptyAndTiny:
@@ -65,19 +63,3 @@ class TestDuplicateKeys:
         with pytest.raises(ParameterError, match="'second'.*'first'"):
             shards(clash, 2)
 
-
-class TestGroupField:
-    def test_group_defaults_to_empty(self):
-        assert item("plain").group == ""
-
-    def test_group_does_not_affect_key_or_shard(self):
-        # The assembly-group label is metadata for journals/spans; two
-        # items with the same token must claim and checkpoint the same
-        # entry regardless of grouping.
-        plain = item("shared-token")
-        grouped = item("shared-token", group="INV/A")
-        assert plain.key == grouped.key
-        for n_workers in (1, 2, 5, 13):
-            assert shard_of(plain, n_workers) == shard_of(
-                grouped, n_workers
-            )

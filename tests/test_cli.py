@@ -582,52 +582,6 @@ class TestParallelFlags:
         assert code != 0
         assert "sample" in capsys.readouterr().err
 
-    def test_granularity_flags_parse_with_defaults(self):
-        for command in ("characterize", "bench"):
-            args = build_parser().parse_args([command])
-            assert args.granularity == "pin"
-            assert args.workers == 1
-            assert args.claim_timeout == 600.0
-            args = build_parser().parse_args(
-                [command, "--granularity", "grid"]
-            )
-            assert args.granularity == "grid"
-
-    def test_grid_granularity_characterize_matches_serial(
-        self, tmp_path, capsys
-    ):
-        base = [
-            "characterize",
-            "--cells",
-            "INV",
-            "NAND2",
-            "--grid",
-            "2",
-            "--samples",
-            "64",
-            "--seed",
-            "7",
-        ]
-        serial = tmp_path / "serial.lib"
-        grid = tmp_path / "grid.lib"
-        assert main(base + ["--out", str(serial)]) == 0
-        assert (
-            main(
-                base
-                + [
-                    "--out",
-                    str(grid),
-                    "--workers",
-                    "2",
-                    "--granularity",
-                    "grid",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert serial.read_bytes() == grid.read_bytes()
-
 
 class _StubExperiment:
     """Cheap stand-in for the experiments the bench test skips."""
@@ -684,9 +638,6 @@ class TestBenchParallel:
         assert "[fig3 stub]" in serial
         assert "Table 2" in serial
         assert bench(["--workers", "2"]) == serial
-        assert (
-            bench(["--workers", "2", "--granularity", "grid"]) == serial
-        )
 
     def test_bench_json_records_comparable_report(
         self, tiny_suite, tmp_path, capsys
@@ -882,7 +833,6 @@ class TestBenchCompareCli:
         args = build_parser().parse_args(["bench"])
         assert args.workers == 1
         assert args.claim_timeout == 600.0
-        assert args.granularity == "pin"
         assert args.claim_skew == 5.0
         assert not args.smoke
 
