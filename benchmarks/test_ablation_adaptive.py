@@ -21,6 +21,7 @@ from repro.circuits.characterize import (
     characterize_arc,
 )
 from repro.experiments.common import paper_scale
+from repro.runtime import FitPolicy
 from repro.stats.empirical import EmpiricalDistribution
 
 
@@ -37,7 +38,8 @@ def _run(engine):
         engine, cell, "A", "fall", config, probe_samples=n_full // 5
     )
     full = characterize_arc(engine, cell, "A", "fall", config)
-    full_models = full.fit_grid("delay")
+    # Strict LVF2 at every point, like the adaptive suspect points.
+    full_models = full.fit_grid("delay", FitPolicy(rungs=("LVF2",)))
 
     adaptive_errors = []
     full_errors = []

@@ -24,14 +24,15 @@ full-grid flow, alongside the fitted model grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.circuits.cells import CellDefinition
 from repro.circuits.characterize import (
     CharacterizationConfig,
-    _condition_seed,
+    characterize_arc,
+    simulate_condition,
 )
 from repro.circuits.gate import GateTimingEngine
 from repro.errors import CharacterizationError
@@ -145,26 +146,21 @@ def plan_adaptive(
             f"probe budget ({probe_samples}) must be smaller than the "
             f"full budget ({config.n_samples})"
         )
-    topology = cell.arc(input_pin, transition)
+    # The probe pass is a small characterisation of the whole grid, so
+    # it samples like one (``use_lhs``, fault and telemetry hooks).
+    probe = characterize_arc(
+        engine,
+        cell,
+        input_pin,
+        transition,
+        replace(config, n_samples=probe_samples, seed=config.seed ^ 0x5EED),
+    )
     shape = config.grid_shape
     indicator = np.zeros(shape)
     probes = np.empty(shape, dtype=object)
-    for i, slew in enumerate(config.slews):
-        for j, load in enumerate(config.loads):
-            result = engine.simulate_arc(
-                topology,
-                slew,
-                load,
-                probe_samples,
-                rng=_condition_seed(
-                    config.seed ^ 0x5EED, topology.name, i, j
-                ),
-            )
-            samples = (
-                result.delay if quantity == "delay" else result.transition
-            )
-            probes[i, j] = samples
-            indicator[i, j] = multi_gaussian_indicator(samples)
+    for i, j in np.ndindex(shape):
+        probes[i, j] = probe.samples(quantity, i, j)
+        indicator[i, j] = multi_gaussian_indicator(probes[i, j])
 
     band_scores: dict[int, float] = {}
     for i in range(shape[0]):
@@ -202,9 +198,10 @@ def characterize_adaptive(
 ) -> AdaptiveResult:
     """Adaptive per-arc characterisation (probe -> pattern -> full MC).
 
-    Non-suspect points are fitted as plain LVF from the probe samples —
-    per Eq. 10 these are stored as collapsed LVF2 entries, so the
-    output grid is homogeneous.
+    Suspect points get a full-budget draw each, fitted together by
+    one :meth:`LVF2Model.fit_batch`.  Non-suspect points are fitted as
+    plain LVF from the probe samples — per Eq. 10 these are stored as
+    collapsed LVF2 entries, so the output grid is homogeneous.
     """
     plan, probes = plan_adaptive(
         engine,
@@ -215,33 +212,28 @@ def characterize_adaptive(
         probe_samples=probe_samples,
         quantity=quantity,
     )
+    models = np.empty(config.grid_shape, dtype=object)
+    suspects = []
+    for index in np.ndindex(models.shape):
+        if plan.suspect[index]:
+            suspects.append(index)
+        else:
+            models[index] = LVF2Model.from_lvf(LVFModel.fit(probes[index]))
+    # The same draw characterize_arc makes at each suspect point.
     topology = cell.arc(input_pin, transition)
-    shape = config.grid_shape
-    models = np.empty(shape, dtype=object)
-    spent = plan.n_points * probe_samples
-    for i, slew in enumerate(config.slews):
-        for j, load in enumerate(config.loads):
-            if plan.suspect[i, j]:
-                result = engine.simulate_arc(
-                    topology,
-                    slew,
-                    load,
-                    config.n_samples,
-                    rng=_condition_seed(
-                        config.seed, topology.name, i, j
-                    ),
-                )
-                samples = (
-                    result.delay
-                    if quantity == "delay"
-                    else result.transition
-                )
-                spent += config.n_samples
-                models[i, j] = LVF2Model.fit(samples)
-            else:
-                models[i, j] = LVF2Model.from_lvf(
-                    LVFModel.fit(probes[i, j])
-                )
+    full = []
+    for i, j in suspects:
+        delay, transition_samples, _, _ = simulate_condition(
+            engine, topology, cell.name, input_pin, transition, config, i, j
+        )
+        full.append(delay if quantity == "delay" else transition_samples)
+    if full:
+        fitted = LVF2Model.fit_batch(np.stack(full))
+        for index, model in zip(suspects, fitted):
+            models[index] = model
+    spent = (
+        plan.n_points * probe_samples + len(suspects) * config.n_samples
+    )
     return AdaptiveResult(
         plan=plan,
         models=models,

@@ -178,26 +178,40 @@ class ArcCharacterization:
             return self.nominal_delay
         return self.nominal_transition
 
-    def fit_grid(self, quantity: str) -> np.ndarray:
-        """Fit LVF2 at every grid point; returns an object grid.
+    def fit_grid(
+        self,
+        quantity: str,
+        policy: FitPolicy = FitPolicy(),
+        report: FitReport | None = None,
+    ) -> np.ndarray:
+        """Fit every grid point through the ``policy`` ladder.
 
-        The grid is stacked into one ``(n_points, n_samples)`` array
-        and fitted by :meth:`LVF2Model.fit_batch`, which raises the
-        first failing point in row-major order, as a per-point loop
-        would.
+        :meth:`FitPolicy.fit_batch_iter` batches the first-rung LVF2
+        fit over the stacked grid; outcomes still arrive one point at
+        a time in row-major order, so ``report`` records and any
+        mid-grid :class:`FittingError` match a per-point loop exactly.
+        ``FitPolicy(rungs=("LVF2",))`` is strict mode: the first
+        point LVF2 cannot fit raises.
+
+        Returns:
+            ``(n_slews, n_loads)`` object grid of :class:`LVF2Model`.
         """
         shape = self.config.grid_shape
-        indices = list(np.ndindex(shape))
-        stack = np.stack(
-            [self.samples(quantity, i, j) for i, j in indices]
-        )
-        with telemetry.span(
-            "fit.grid_batch", stage="fitting", n_points=len(indices)
-        ):
-            fitted = LVF2Model.fit_batch(stack)
         models = np.empty(shape, dtype=object)
-        for index, model in zip(indices, fitted):
-            models[index] = model
+        indices = list(np.ndindex(shape))
+        contexts = [
+            FitContext(
+                self.cell, self.input_pin, self.transition, quantity, i, j
+            )
+            for i, j in indices
+        ]
+        outcomes = policy.fit_batch_iter(
+            [self.samples(quantity, i, j) for i, j in indices], contexts
+        )
+        for index, context, outcome in zip(indices, contexts, outcomes):
+            if report is not None:
+                report.record_fit(context, outcome)
+            models[index] = outcome.model
         return models
 
 
@@ -394,45 +408,6 @@ def characterize_arc(
     return characterization
 
 
-def _fit_models(
-    char: ArcCharacterization,
-    quantity: str,
-    policy: FitPolicy | None,
-    report: FitReport | None,
-) -> np.ndarray:
-    """Fit one quantity's whole grid in one batched call.
-
-    Without a policy this is :meth:`ArcCharacterization.fit_grid`.
-    With one, :meth:`FitPolicy.fit_batch_iter` batches the first-rung
-    LVF2 fit over the stacked grid; outcomes still arrive one point at
-    a time in row-major order, so report records and any mid-grid
-    exception match a per-point loop exactly.
-    """
-    if policy is None:
-        return char.fit_grid(quantity)
-    shape = char.config.grid_shape
-    models = np.empty(shape, dtype=object)
-    indices = list(np.ndindex(shape))
-    contexts = [
-        FitContext(
-            cell=char.cell,
-            pin=char.input_pin,
-            transition=char.transition,
-            quantity=quantity,
-            slew_index=i,
-            load_index=j,
-        )
-        for i, j in indices
-    ]
-    samples_list = [char.samples(quantity, i, j) for i, j in indices]
-    outcomes = policy.fit_batch_iter(samples_list, contexts)
-    for index, context, outcome in zip(indices, contexts, outcomes):
-        if report is not None:
-            report.record_fit(context, outcome)
-        models[index] = outcome.model
-    return models
-
-
 def _lvf2_tables(
     base: str,
     char: ArcCharacterization,
@@ -466,7 +441,7 @@ def characterized_arc_to_liberty(
     fall: ArcCharacterization,
     *,
     collapse_by_bic: bool = False,
-    policy: FitPolicy | None = None,
+    policy: FitPolicy = FitPolicy(),
     report: FitReport | None = None,
 ) -> TimingArc:
     """Fit LVF2 grids for both edges and build a Liberty timing arc.
@@ -476,9 +451,10 @@ def characterized_arc_to_liberty(
         fall: Characterisation of the output-fall edge.
         collapse_by_bic: Apply the §3.4 fallback — grid points whose
             data do not support two components are stored as plain LVF.
-        policy: Optional fallback ladder; when given, a degenerate fit
-            at one grid point degrades that point instead of raising.
-        report: Degradation report fed by ``policy`` fits.
+        policy: Fit fallback ladder; with the default, a degenerate
+            fit at one grid point degrades that point instead of
+            raising.  ``FitPolicy(rungs=("LVF2",))`` raises instead.
+        report: Optional report fed one record per fit.
     """
     if (rise.cell, rise.input_pin) != (fall.cell, fall.input_pin):
         raise CharacterizationError(
@@ -488,7 +464,7 @@ def characterized_arc_to_liberty(
     tables = {}
     for base, transition, quantity in _TABLES:
         char = edges[transition]
-        models = _fit_models(char, quantity, policy, report)
+        models = char.fit_grid(quantity, policy, report)
         if collapse_by_bic:
             for index in np.ndindex(models.shape):
                 model = models[index]
@@ -497,9 +473,7 @@ def characterized_arc_to_liberty(
                         char.samples(quantity, *index)
                     )
                 except FittingError:
-                    if policy is None:
-                        raise
-                    continue
+                    continue  # keep the ladder's model
                 if collapsed is not model:
                     models[index] = LVF2Model.from_lvf(collapsed)
         tables[base] = _lvf2_tables(base, char, quantity, models)
@@ -513,7 +487,7 @@ def edge_fit_token(
     transition: str,
     config: CharacterizationConfig,
     *,
-    policy: FitPolicy | None,
+    policy: FitPolicy = FitPolicy(),
 ) -> str:
     """Content token of one arc edge's simulate-and-fit payload.
 
@@ -535,7 +509,7 @@ def _edge_payload(
     pin_name: str,
     transition: str,
     config: CharacterizationConfig,
-    policy: FitPolicy | None,
+    policy: FitPolicy,
 ) -> dict:
     """Simulate one arc edge and fit its two Liberty tables.
 
@@ -568,7 +542,7 @@ def _edge_payload(
         local = FitReport()
         tables = error = None
         try:
-            models = _fit_models(char, quantity, policy, local)
+            models = char.fit_grid(quantity, policy, local)
         except (CharacterizationError, FittingError) as caught:
             error = (type(caught), str(caught))
         else:
@@ -628,7 +602,7 @@ def characterization_work_items(
     cells: Sequence[CellDefinition],
     config: CharacterizationConfig,
     *,
-    policy: FitPolicy | None = None,
+    policy: FitPolicy = FitPolicy(),
 ) -> tuple[WorkItem, ...]:
     """Pool work items for a library run: one per arc edge.
 
@@ -660,7 +634,7 @@ def characterization_tokens(
     cells: Sequence[CellDefinition],
     config: CharacterizationConfig,
     *,
-    policy: FitPolicy | None = None,
+    policy: FitPolicy = FitPolicy(),
 ) -> tuple[str, ...]:
     """Every token a run of this configuration can read or write.
 
@@ -685,7 +659,7 @@ def characterize_library(
     *,
     library_name: str = "repro_tt_0p8v_25c",
     checkpoint: CheckpointStore | None = None,
-    policy: FitPolicy | None = None,
+    policy: FitPolicy = FitPolicy(),
     report: FitReport | None = None,
     isolate_errors: bool = False,
     progress: ProgressReporter | None = None,
@@ -701,8 +675,9 @@ def characterize_library(
         library_name: Liberty library name.
         checkpoint: Optional per-arc checkpoint store; completed arcs
             of a killed run are resumed instead of re-simulated.
-        policy: Optional fit fallback ladder; degenerate grid points
-            degrade through it instead of aborting the library.
+        policy: Fit fallback ladder; degenerate grid points degrade
+            through it instead of aborting the library.  The one-rung
+            ``FitPolicy(rungs=("LVF2",))`` is strict mode.
         report: Degradation/quarantine report filled during the run.
         isolate_errors: When True, an arc whose characterisation or
             fitting fails terminally is quarantined into ``report``

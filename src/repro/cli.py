@@ -191,7 +191,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     cells = [build_cell(name, args.drive) for name in args.cells]
-    policy = None if args.no_fallback else FitPolicy()
+    policy = FitPolicy(rungs=("LVF2",)) if args.no_fallback else FitPolicy()
     isolate_errors = not args.no_fallback
     store = _checkpoint_store(args)
     if (
@@ -938,8 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     characterize.add_argument(
         "--no-fallback",
         action="store_true",
-        help="disable the fit fallback ladder and per-arc isolation "
-        "(a degenerate fit aborts the run)",
+        help="strict mode: fit LVF2 only (a one-rung fallback ladder) "
+        "and disable per-arc isolation, so a failed fit aborts the run",
     )
     characterize.add_argument(
         "--progress",

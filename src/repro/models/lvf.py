@@ -38,23 +38,29 @@ from repro.stats.skew_normal import (
 __all__ = ["LVFModel"]
 
 
-def _lvf_from_moments_fast(
-    mean: float, std: float, skew: float
-) -> "LVFModel":
-    """Construct ``LVFModel(mean, std, skew)`` without dispatch overhead.
+class _SNLane:
+    """A moment triple with its skew-normal direct parameters.
 
-    The EM M-step builds one model per component per iteration per grid
-    point, so the dataclass ``__init__``/``__post_init__`` machinery —
-    two object constructions, a moments->params inversion wrapped in
-    three call layers, and a params->moments round trip — is hot.  This
-    helper runs the *same scalar expressions in the same order* (the
-    inlined bodies of :func:`~repro.stats.skew_normal.moments_to_params`,
-    ``SkewNormal.__post_init__`` and the ``skewness`` round trip), so
-    the resulting model is bit-identical, field for field, to the
-    dataclass path and raises the same :class:`ParameterError` on the
-    same inputs.
+    The batched EM M-step builds one per component per iteration per
+    grid point, and the lockstep E-step only reads ``(xi, omega,
+    alpha)``; building a full ``LVFModel`` (two frozen dataclasses
+    plus the stored-skewness round trip) for each of them is the
+    single hottest scalar cost of the batched fit.  :func:`_lvf_from_lane`
+    turns a lane into its model once the row converges.
     """
-    # --- moments_to_params, inlined -----------------------------------
+
+    __slots__ = ("mean", "std", "xi", "omega", "alpha")
+
+
+def _sn_lane(mean: float, std: float, skew: float) -> _SNLane:
+    """Invert ``(mean, std, skew)`` to skew-normal parameters, inlined.
+
+    Runs the *same scalar expressions in the same order* as
+    :func:`~repro.stats.skew_normal.moments_to_params` (the reference)
+    and the ``SkewNormal.__post_init__`` checks, without their call
+    layers, and raises the same :class:`ParameterError` on the same
+    inputs.
+    """
     if not (std > 0.0 and math.isfinite(std)):
         raise ParameterError(
             f"std must be positive and finite, got {std}"
@@ -83,15 +89,30 @@ def _lvf_from_moments_fast(
         omega = std / math.sqrt(1.0 - (_B * delta) ** 2)
         xi = mean - omega * delta * _B
         xi, omega, alpha = float(xi), float(omega), float(alpha)
-    # --- SkewNormal.__post_init__ validation --------------------------
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ParameterError(
             f"omega must be positive and finite, got {omega}"
         )
     if not (math.isfinite(xi) and math.isfinite(alpha)):
         raise ParameterError("xi and alpha must be finite")
-    # --- stored skewness: params_to_moments gamma term ----------------
-    delta_back = alpha / math.sqrt(1.0 + alpha * alpha)
+    lane = _SNLane()
+    lane.mean = mean
+    lane.std = std
+    lane.xi = xi
+    lane.omega = omega
+    lane.alpha = alpha
+    return lane
+
+
+def _lvf_from_lane(lane: _SNLane) -> "LVFModel":
+    """Build the ``LVFModel`` of a lane without dispatch overhead.
+
+    Computes the stored skewness with the ``params_to_moments`` gamma
+    expression and fills the frozen dataclasses directly, so the model
+    is bit-identical, field for field, to
+    ``LVFModel(lane.mean, lane.std, skew)``.
+    """
+    delta_back = lane.alpha / math.sqrt(1.0 + lane.alpha * lane.alpha)
     centered = delta_back * _B
     stored_gamma = float(
         0.5
@@ -100,16 +121,23 @@ def _lvf_from_moments_fast(
         / (1.0 - centered**2) ** 1.5
     )
     sn = SkewNormal.__new__(SkewNormal)
-    object.__setattr__(sn, "xi", xi)
-    object.__setattr__(sn, "omega", omega)
-    object.__setattr__(sn, "alpha", alpha)
+    object.__setattr__(sn, "xi", lane.xi)
+    object.__setattr__(sn, "omega", lane.omega)
+    object.__setattr__(sn, "alpha", lane.alpha)
     model = LVFModel.__new__(LVFModel)
-    object.__setattr__(model, "mu", mean)
-    object.__setattr__(model, "sigma", std)
+    object.__setattr__(model, "mu", lane.mean)
+    object.__setattr__(model, "sigma", lane.std)
     object.__setattr__(model, "gamma", stored_gamma)
     object.__setattr__(model, "nominal", None)
     object.__setattr__(model, "_sn", sn)
     return model
+
+
+def _lvf_from_moments_fast(
+    mean: float, std: float, skew: float
+) -> "LVFModel":
+    """``LVFModel(mean, std, skew)``, bit-identical, for the hot paths."""
+    return _lvf_from_lane(_sn_lane(mean, std, skew))
 
 
 @register_model

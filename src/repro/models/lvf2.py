@@ -27,7 +27,12 @@ from scipy.special import expit, logit
 
 from repro.errors import FittingError, ParameterError
 from repro.models.base import TimingModel, _from_mixture, register_model
-from repro.models.lvf import LVFModel, _lvf_from_moments_fast
+from repro.models.lvf import (
+    LVFModel,
+    _lvf_from_lane,
+    _sn_lane,
+    _SNLane,
+)
 from repro.stats.em import (
     ComponentFamily,
     EMConfig,
@@ -38,94 +43,16 @@ from repro.stats.em import (
 )
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary, _weighted_moments_rows
-from repro.stats.skew_normal import (
-    _B,
-    _HALF_GAP,
-    DEFAULT_SKEW_MARGIN,
-    MAX_SKEWNESS,
-    SkewNormal,
-)
+from repro.stats.skew_normal import SkewNormal
 from repro.stats.workspace import Workspace
 
 __all__ = ["LVF2Model", "SKEW_NORMAL_FAMILY"]
 
 
-class _SNLane:
-    """EM-internal stand-in for an intermediate skew-normal component.
-
-    The lockstep E-step only reads the direct parameters
-    ``(xi, omega, alpha)``; building a full ``LVFModel`` (two frozen
-    dataclasses plus the stored-skewness round trip) for every
-    component of every iteration of every grid point is the single
-    hottest scalar cost of the batched fit.  A lane carries just the
-    moment triple and the direct parameters; ``_sn_realize`` turns it
-    into the exact model the serial M-step would have produced once
-    its row converges.
-    """
-
-    __slots__ = ("mean", "std", "skew", "xi", "omega", "alpha")
-
-
-def _sn_lane(mean: float, std: float, skew: float) -> _SNLane:
-    """Compute a lane via the exact ``moments_to_params`` expressions.
-
-    Token-for-token the first half of
-    :func:`repro.models.lvf._lvf_from_moments_fast` (same clamping,
-    same validation, same error messages); it stops after the
-    ``SkewNormal`` parameter checks instead of building the model
-    objects and the stored skewness, which no intermediate iteration
-    reads.
-    """
-    if not (std > 0.0 and math.isfinite(std)):
-        raise ParameterError(
-            f"std must be positive and finite, got {std}"
-        )
-    bound = MAX_SKEWNESS - DEFAULT_SKEW_MARGIN
-    if skew > bound:
-        gamma = float(bound)
-    elif skew < -bound:
-        gamma = float(-bound)
-    else:
-        gamma = float(skew)
-    magnitude = abs(gamma)
-    if magnitude < 1e-14:
-        xi, omega, alpha = float(mean), float(std), 0.0
-    else:
-        ratio = magnitude ** (2.0 / 3.0)
-        abs_delta = math.sqrt(
-            (math.pi / 2.0) * ratio / (ratio + _HALF_GAP)
-        )
-        delta = math.copysign(min(abs_delta, 1.0 - 1e-12), gamma)
-        if not -1.0 < delta < 1.0:
-            raise ParameterError(
-                f"delta must lie in (-1, 1), got {delta}"
-            )
-        alpha = delta / math.sqrt(1.0 - delta * delta)
-        omega = std / math.sqrt(1.0 - (_B * delta) ** 2)
-        xi = mean - omega * delta * _B
-        xi, omega, alpha = float(xi), float(omega), float(alpha)
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ParameterError(
-            f"omega must be positive and finite, got {omega}"
-        )
-    if not (math.isfinite(xi) and math.isfinite(alpha)):
-        raise ParameterError("xi and alpha must be finite")
-    lane = _SNLane()
-    lane.mean = mean
-    lane.std = std
-    lane.skew = skew
-    lane.xi = xi
-    lane.omega = omega
-    lane.alpha = alpha
-    return lane
-
-
 def _sn_realize(component: Any) -> Any:
     """Turn an :class:`_SNLane` into the serial-identical model."""
     if type(component) is _SNLane:
-        return _lvf_from_moments_fast(
-            component.mean, component.std, component.skew
-        )
+        return _lvf_from_lane(component)
     return component
 
 

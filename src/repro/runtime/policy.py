@@ -22,6 +22,10 @@ the :class:`~repro.runtime.report.FitReport` records which one did.
 
 Non-finite samples are dropped (and counted) before fitting — injected
 or simulated NaNs degrade the fit rather than poisoning it.
+
+Strict fail-fast fitting is the one-rung ladder
+``FitPolicy(rungs=("LVF2",))``: the same walk, with nothing to fall
+back to.
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ from repro.runtime.report import FitAttempt, FitContext, FitOutcome
 from repro.stats.em import EMConfig
 
 __all__ = ["DEFAULT_RUNGS", "FitPolicy"]
-
-#: Sentinel distinguishing "no precomputed first-rung result" from a
-#: legitimately captured ``None``/exception.
-_UNSET = object()
 
 #: Ladder rungs in degradation order.
 DEFAULT_RUNGS = (
@@ -87,7 +87,9 @@ class FitPolicy:
         allow_degenerate: Disable the final placeholder rung to make
             truly unfittable data raise :class:`FittingError` instead.
         rungs: Ladder order; must be a subsequence of
-            :data:`DEFAULT_RUNGS`.
+            :data:`DEFAULT_RUNGS`, so ``LVF2`` is first when present.
+            ``("LVF2",)`` is strict mode: a point LVF2 cannot fit
+            raises :class:`FittingError`.
     """
 
     reseed_seeds: tuple[int, ...] = (1013, 2027)
@@ -104,14 +106,17 @@ class FitPolicy:
             )
         if not self.rungs:
             raise FittingError("the ladder needs at least one rung")
+        if self.rungs != tuple(r for r in DEFAULT_RUNGS if r in self.rungs):
+            raise FittingError(
+                f"ladder rungs must follow {DEFAULT_RUNGS} order, "
+                f"got {self.rungs}"
+            )
 
     # ------------------------------------------------------------------
-    # Rung implementations (samples arrive finite and 1-D)
+    # Rung implementations (samples arrive finite and 1-D).  ``LVF2``
+    # has none: fit_batch_iter fits it for the whole batch up front.
     # ------------------------------------------------------------------
-    def _fit_lvf2(self, samples: np.ndarray) -> LVF2Model:
-        return LVF2Model.fit(samples)
-
-    def _fit_lvf2_reseed(self, samples: np.ndarray) -> LVF2Model:
+    def _fit_reseed(self, samples: np.ndarray) -> LVF2Model:
         last: FittingError | None = None
         for seed in self.reseed_seeds:
             config = EMConfig(
@@ -149,8 +154,7 @@ class FitPolicy:
 
     def _rung_fitter(self, rung: str):
         return {
-            "LVF2": self._fit_lvf2,
-            "LVF2-reseed": self._fit_lvf2_reseed,
+            "LVF2-reseed": self._fit_reseed,
             "Norm2": self._fit_norm2,
             "LVF": self._fit_lvf,
             "Gaussian": self._fit_gaussian,
@@ -165,7 +169,7 @@ class FitPolicy:
         samples: np.ndarray,
         context: FitContext | None = None,
     ) -> FitOutcome:
-        """Walk the ladder until a rung produces a model.
+        """Walk the ladder for one sample set: a batch of one.
 
         Args:
             samples: Raw Monte-Carlo samples; non-finite entries are
@@ -180,13 +184,7 @@ class FitPolicy:
             FittingError: Only when *every* rung fails (e.g. no finite
                 samples at all, or the placeholder rung is disabled).
         """
-        with telemetry.span(
-            "fit.ladder",
-            stage="fitting",
-            condition=context.condition if context else "",
-        ):
-            outcome = self._walk_ladder(samples, context)
-        self._record_outcome(outcome)
+        (outcome,) = self.fit_batch_iter([samples], [context])
         return outcome
 
     def fit_batch_iter(
@@ -200,13 +198,13 @@ class FitPolicy:
         by :meth:`LVF2Model.fit_batch` — the vectorized multi-start EM,
         bit-identical to fitting each point alone — grouped by finite
         sample count so NaN-dropped points still batch together.  The
-        generator then replays the ladder per point in serial order:
+        generator then walks the ladder per point in input order:
         fault-injection hooks fire exactly once per (point, rung) in
-        the order a serial loop would consult them, the precomputed
-        first-rung result (model or captured exception) substitutes for
-        the serial first-rung call, and every later rung runs serially.
+        the order a per-point loop would consult them, the precomputed
+        ``LVF2`` result (model or captured exception) stands in for
+        that rung, and every later rung runs point by point.
         Outcomes are yielded one point at a time so a mid-grid failure
-        leaves exactly the serial loop's partial progress behind.
+        leaves exactly a per-point loop's partial progress behind.
 
         Args:
             samples_list: Raw per-point Monte-Carlo samples.
@@ -219,6 +217,7 @@ class FitPolicy:
             np.asarray(samples, dtype=float).ravel()
             for samples in samples_list
         ]
+        finites = [raw[np.isfinite(raw)] for raw in items]
         if contexts is None:
             context_list: list[FitContext | None] = [None] * len(items)
         else:
@@ -229,25 +228,21 @@ class FitPolicy:
                     f"match {len(items)} sample sets"
                 )
         prefits: dict[int, LVF2Model | Exception] = {}
-        if self.rungs[0] == "LVF2" and items:
+        if "LVF2" in self.rungs and items:
             groups: dict[int, list[int]] = {}
-            finite_rows: dict[int, np.ndarray] = {}
-            for index, raw in enumerate(items):
-                finite = raw[np.isfinite(raw)]
+            for index, finite in enumerate(finites):
                 if finite.size:
-                    finite_rows[index] = finite
                     groups.setdefault(finite.size, []).append(index)
             with telemetry.span(
                 "fit.prefit_batch", stage="fitting", n_points=len(items)
             ):
                 for members in groups.values():
                     batch = LVF2Model.fit_batch(
-                        np.stack([finite_rows[i] for i in members]),
+                        np.stack([finites[i] for i in members]),
                         errors="capture",
                     )
-                    for index, outcome in zip(members, batch):
-                        prefits[index] = outcome
-        for index, raw in enumerate(items):
+                    prefits.update(zip(members, batch))
+        for index, (raw, finite) in enumerate(zip(items, finites)):
             context = context_list[index]
             with telemetry.span(
                 "fit.ladder",
@@ -255,7 +250,7 @@ class FitPolicy:
                 condition=context.condition if context else "",
             ):
                 outcome = self._walk_ladder(
-                    raw, context, prefit=prefits.get(index, _UNSET)
+                    finite, raw.size - finite.size, context, prefits.get(index)
                 )
             self._record_outcome(outcome)
             yield outcome
@@ -274,50 +269,36 @@ class FitPolicy:
 
     def _walk_ladder(
         self,
-        samples: np.ndarray,
+        finite: np.ndarray,
+        n_dropped: int,
         context: FitContext | None,
-        prefit: object = _UNSET,
+        prefit: LVF2Model | Exception | None,
     ) -> FitOutcome:
-        raw = np.asarray(samples, dtype=float).ravel()
-        finite = raw[np.isfinite(raw)]
-        n_dropped = int(raw.size - finite.size)
         attempts: list[FitAttempt] = []
         if finite.size == 0:
             raise FittingError(
                 "no finite samples to fit"
                 + (f" ({n_dropped} non-finite dropped)" if n_dropped else "")
             )
-        for position, rung in enumerate(self.rungs):
+        for rung in self.rungs:
             injected = faults.fit_should_fail(context, rung)
             if injected is not None:
                 attempts.append(FitAttempt(rung, injected))
                 continue
-            if position == 0 and prefit is not _UNSET:
-                # Precomputed first-rung result from the batched fit:
-                # a captured numerical error degrades exactly like the
-                # serial catch below; other errors propagate as the
-                # serial call would raise them.
-                if isinstance(prefit, Exception):
-                    if isinstance(prefit, _NUMERICAL_ERRORS):
-                        attempts.append(
-                            FitAttempt(
-                                rung,
-                                f"{type(prefit).__name__}: {prefit}",
-                            )
-                        )
-                        continue
-                    raise prefit
-                model = prefit
-            else:
-                try:
+            try:
+                if rung != "LVF2":
                     model = self._rung_fitter(rung)(finite)
-                except _NUMERICAL_ERRORS as error:
-                    attempts.append(
-                        FitAttempt(
-                            rung, f"{type(error).__name__}: {error}"
-                        )
-                    )
-                    continue
+                elif isinstance(prefit, Exception):
+                    # A captured batch error degrades like a raised
+                    # one; a non-numerical error propagates.
+                    raise prefit
+                else:
+                    model = prefit
+            except _NUMERICAL_ERRORS as error:
+                attempts.append(
+                    FitAttempt(rung, f"{type(error).__name__}: {error}")
+                )
+                continue
             return FitOutcome(
                 model=model,
                 rung=rung,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,12 @@ from repro.circuits.adaptive import (
     plan_adaptive,
 )
 from repro.circuits.cells import build_cell
-from repro.circuits.characterize import CharacterizationConfig
+from repro.circuits.characterize import (
+    CharacterizationConfig,
+    characterize_arc,
+)
 from repro.errors import CharacterizationError
+from repro.models.lvf2 import LVF2Model
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +119,46 @@ class TestCharacterizeAdaptive:
             if not result.plan.suspect[index]:
                 # Non-suspect points are stored as collapsed LVF2.
                 assert model.is_collapsed
+
+
+class TestPlainMonteCarlo:
+    """Both passes honour ``use_lhs=False``, like characterize_arc."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return CharacterizationConfig(
+            slews=(0.00316, 0.00812),
+            loads=(0.00722, 0.02136),
+            n_samples=1000,
+            seed=5,
+            use_lhs=False,
+        )
+
+    def test_probes_match_characterize_arc(self, engine, config):
+        cell = build_cell("NAND2")
+        _, probes = plan_adaptive(
+            engine, cell, "A", "fall", config, probe_samples=200
+        )
+        reference = characterize_arc(
+            engine,
+            cell,
+            "A",
+            "fall",
+            replace(config, n_samples=200, seed=config.seed ^ 0x5EED),
+        )
+        for i, j in np.ndindex(probes.shape):
+            np.testing.assert_array_equal(
+                probes[i, j], reference.samples("delay", i, j)
+            )
+
+    def test_suspect_models_match_characterize_arc(self, engine, config):
+        cell = build_cell("NAND2")
+        result = characterize_adaptive(
+            engine, cell, "A", "fall", config, probe_samples=200
+        )
+        full = characterize_arc(engine, cell, "A", "fall", config)
+        assert result.plan.n_suspect > 0
+        for index in np.ndindex(result.models.shape):
+            if result.plan.suspect[index]:
+                expected = LVF2Model.fit(full.samples("delay", *index))
+                assert result.models[index] == expected

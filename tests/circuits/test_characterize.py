@@ -16,6 +16,7 @@ from repro.circuits.characterize import (
 )
 from repro.errors import CharacterizationError
 from repro.liberty.library import read_library
+from repro.runtime import FitPolicy, FitReport
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +94,17 @@ class TestCharacterizeArc:
             nand2_rise.samples("power", 0, 0)
 
     def test_fit_grid_produces_models(self, nand2_rise):
-        models = nand2_rise.fit_grid("delay")
+        report = FitReport()
+        models = nand2_rise.fit_grid("delay", FitPolicy(), report)
         assert models.shape == (2, 2)
         summary = models[0, 0].moments()
         golden = nand2_rise.samples("delay", 0, 0)
         assert summary.mean == pytest.approx(golden.mean(), rel=0.01)
+        # One record per point, in row-major order.
+        assert [
+            (r.context.slew_index, r.context.load_index)
+            for r in report.records
+        ] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_per_condition_seeds_differ(self, nand2_rise):
         a = nand2_rise.samples("delay", 0, 0)

@@ -11,7 +11,9 @@ engine.  Regenerating it through ``characterize_library`` — serial and
 with a two-worker pool — must reproduce both files exactly, so any
 change to Monte-Carlo sampling, EM fitting, the fallback ladder or the
 Liberty writer shows up here as a byte diff.  CI also ``cmp``s the
-CLI's own output against the same files.
+CLI's own output against the same files.  On this clean data the
+strict one-rung ladder (``--no-fallback``) lands every point on LVF2
+too, so it reproduces the same files.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ GOLDEN = Path(__file__).parent / "golden"
 STEM = "inv_nand2_grid2_s128_seed7"
 
 
-def characterize(**pool_options) -> tuple[bytes, bytes]:
+def characterize(**options) -> tuple[bytes, bytes]:
     """The ``repro characterize`` run above, as library calls."""
     engine = GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
     config = CharacterizationConfig(
@@ -47,17 +49,15 @@ def characterize(**pool_options) -> tuple[bytes, bytes]:
         engine,
         [build_cell("INV", 1.0), build_cell("NAND2", 1.0)],
         config,
-        policy=FitPolicy(),
         report=report,
-        isolate_errors=True,
-        **pool_options,
+        **{"policy": FitPolicy(), "isolate_errors": True, **options},
     )
     report_text = json.dumps(report.to_dict(), indent=2) + "\n"
     return library.to_text().encode(), report_text.encode()
 
 
 @pytest.mark.parametrize(
-    "pool_options",
+    "options",
     [
         {},
         {
@@ -66,10 +66,11 @@ def characterize(**pool_options) -> tuple[bytes, bytes]:
                 n_workers=2, seed=7, merge_traces=False, claim_timeout=60.0
             ),
         },
+        {"policy": FitPolicy(rungs=("LVF2",)), "isolate_errors": False},
     ],
-    ids=["serial", "pooled"],
+    ids=["serial", "pooled", "strict"],
 )
-def test_library_and_report_match_golden(pool_options):
-    library, report = characterize(**pool_options)
+def test_library_and_report_match_golden(options):
+    library, report = characterize(**options)
     assert library == (GOLDEN / f"{STEM}.lib").read_bytes()
     assert report == (GOLDEN / f"{STEM}.report.json").read_bytes()

@@ -96,6 +96,13 @@ class TestDegenerateInputs:
         with pytest.raises(FittingError):
             FitPolicy(rungs=("LVF2", "bogus"))
 
+    @pytest.mark.parametrize(
+        "rungs", [("Norm2", "LVF2"), ("LVF2", "LVF2"), ("LVF", "Norm2")]
+    )
+    def test_rungs_out_of_ladder_order_rejected(self, rungs):
+        with pytest.raises(FittingError, match="order"):
+            FitPolicy(rungs=rungs)
+
 
 class TestInjectedFailures:
     def test_forced_em_failure_lands_on_norm2(

@@ -209,6 +209,34 @@ class TestFaultIsolation:
         assert dropped[0].context.condition == "INV_X1/A/fall[1,0]:delay"
         assert dropped[0].n_dropped == config.n_samples // 2
 
+    def test_strict_mode_drops_nan_samples(self, base_engine, config):
+        # Strict mode is the one-rung ladder: it drops and counts
+        # non-finite samples like every rung, and records every fit.
+        report = FitReport()
+        rule = FaultRule(
+            "nan_samples",
+            cell="INV_X1",
+            transition="fall",
+            quantity="delay",
+            slew_index=1,
+            load_index=0,
+            nan_fraction=0.5,
+        )
+        with inject(FaultPlan([rule])):
+            characterize_library(
+                base_engine,
+                [build_cell("INV")],
+                config,
+                policy=FitPolicy(rungs=("LVF2",)),
+                report=report,
+            )
+        assert report.rung_counts() == {"LVF2": 16}
+        assert [
+            (r.context.condition, r.n_dropped)
+            for r in report.records
+            if r.n_dropped
+        ] == [("INV_X1/A/fall[1,0]:delay", config.n_samples // 2)]
+
     def test_total_arc_failure_is_quarantined(self, base_engine, config):
         cells = [build_cell("INV"), build_cell("NAND2")]
         report = FitReport()
@@ -281,12 +309,12 @@ class TestPooledQuarantinePrecedence:
     """
 
     @staticmethod
-    def characterize(engine, config, cells, rule, *, workers, isolate):
+    def characterize(
+        engine, config, cells, rule, *, workers, isolate, policy=FitPolicy()
+    ):
         plan = FaultPlan([rule])
         report = FitReport()
-        kwargs = dict(
-            policy=FitPolicy(), report=report, isolate_errors=isolate
-        )
+        kwargs = dict(policy=policy, report=report, isolate_errors=isolate)
         if workers == 1:
             with inject(plan):
                 library = characterize_library(
@@ -350,24 +378,59 @@ class TestPooledQuarantinePrecedence:
             raised.append((type(caught.value), str(caught.value)))
         assert raised[0] == raised[1]
 
+    def test_strict_mode_failure_names_condition(self, base_engine, config):
+        # Strict mode is the one-rung ladder, so an injected LVF2
+        # failure at one condition aborts the run with the ladder's
+        # error, serially and pooled alike.
+        rule = FaultRule(
+            "em_failure",
+            cell="NAND2_X1",
+            pin="B",
+            transition="rise",
+            quantity="transition",
+            slew_index=1,
+            load_index=0,
+            rungs=("LVF2",),
+        )
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(FittingError) as caught:
+                self.characterize(
+                    base_engine,
+                    config,
+                    [build_cell("INV"), build_cell("NAND2")],
+                    rule,
+                    workers=workers,
+                    isolate=False,
+                    policy=FitPolicy(rungs=("LVF2",)),
+                )
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+        condition = "NAND2_X1/B/rise[1,0]:transition"
+        assert raised[0] == (
+            FittingError,
+            f"every ladder rung failed for {condition}: LVF2: injected "
+            f"EM non-convergence on {condition} (rung LVF2)",
+        )
+
 
 class TestPolicyGridEquivalence:
     def test_policy_fit_matches_default_fit_on_clean_data(
         self, base_engine, config
     ):
-        # With no faults, the ladder's primary rung is the plain LVF2
-        # fit: the resulting Liberty text must be identical.
+        # With no faults every point lands on the shared first rung,
+        # LVF2: strict mode and the full ladder give the same Liberty
+        # text and the same fit records.
         cells = [build_cell("INV")]
-        plain = characterize_library(base_engine, cells, config)
-        laddered = characterize_library(
-            base_engine,
-            cells,
-            config,
-            policy=FitPolicy(),
-            report=FitReport(),
-            isolate_errors=True,
-        )
-        assert plain.to_text() == laddered.to_text()
+        runs = []
+        for policy in (FitPolicy(rungs=("LVF2",)), FitPolicy()):
+            report = FitReport()
+            library = characterize_library(
+                base_engine, cells, config, policy=policy, report=report
+            )
+            runs.append((library.to_text(), report.to_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["n_fits"] == 16
 
     def test_nan_corruption_changes_no_other_condition(
         self, base_engine, config

@@ -229,6 +229,37 @@ class TestExitCodes:
         assert main(["fit", str(tmp_path / "nope.npy")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_no_fallback_fit_failure_exits_fitting_family(self, capsys):
+        # --no-fallback is the one-rung ladder, so an injected LVF2
+        # failure reaches it and aborts the run naming the condition.
+        from repro.runtime.faults import FaultPlan, FaultRule, inject
+
+        rule = FaultRule(
+            "em_failure",
+            transition="fall",
+            quantity="delay",
+            slew_index=0,
+            load_index=1,
+            rungs=("LVF2",),
+        )
+        with inject(FaultPlan([rule])):
+            code = main(
+                [
+                    "characterize",
+                    "--cells",
+                    "INV",
+                    "--grid",
+                    "2",
+                    "--samples",
+                    "128",
+                    "--no-fallback",
+                ]
+            )
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: every ladder rung failed for INV_X1/A/fall[0,1]:delay"
+        )
+
 
 class TestCheckpointFlags:
     def test_resume_requires_checkpoint_dir(self, capsys):
