@@ -37,9 +37,10 @@ from repro.stats.em import (
     ComponentFamily,
     EMConfig,
     _as_stack,
+    _kmeans_starts,
+    _multistart,
     _single_row,
     fit_mixture_em_batch,
-    fit_mixture_em_multistart,
 )
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary, _weighted_moments_rows
@@ -240,6 +241,9 @@ class LVF2Model(TimingModel):
         starting on Norm2's basin guarantees LVF2 never loses to it in
         likelihood.  A Norm2 fit that raises :class:`FittingError` or
         collapses means "no warm start"; any other error fails the row.
+        Both k-means starts are one split per row, computed once: the
+        split depends only on the row, ``kmeans_restarts`` and
+        ``seed``, not on the component family.
 
         Args:
             samples: Stacked observations, one grid point per row.
@@ -266,11 +270,13 @@ class LVF2Model(TimingModel):
         results: "list[LVF2Model | Exception | None]" = [None] * n_points
 
         warms: list[Mixture | None] = [None] * n_points
+        splits = _kmeans_starts(stack, 2, config)
         gaussian_results = fit_mixture_em_batch(
             stack,
             GAUSSIAN_FAMILY,
             n_components=2,
             config=config,
+            initials=splits,
             errors="capture",
         )
         for p, gaussian in enumerate(gaussian_results):
@@ -291,13 +297,13 @@ class LVF2Model(TimingModel):
                 results[p] = error
 
         live = [p for p in range(n_points) if results[p] is None]
-        fits = fit_mixture_em_multistart(
+        fits = _multistart(
             stack[live],
             SKEW_NORMAL_FAMILY,
-            n_components=2,
-            config=config,
-            extra_initials=[warms[p] for p in live],
-            errors="capture",
+            2,
+            config,
+            [splits[p] for p in live],
+            [warms[p] for p in live],
         )
         for p, best in zip(live, fits):
             if isinstance(best, Exception):

@@ -23,7 +23,9 @@ drivers survivable, observable and testable under failure:
 - :mod:`repro.runtime.pool`       — parallel characterisation worker
   pool: claim-file coordination over the checkpoint directory,
   deterministic content-key sharding, per-worker traces merged at
-  shutdown.
+  shutdown;
+- :mod:`repro.runtime.fanout`     — runs the independent row blocks of
+  one EM call on every usable core (spawned helpers, inline fallback).
 
 The layering is strictly below :mod:`repro.circuits` and
 :mod:`repro.experiments`: those packages import the runtime, never the

@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConvergenceWarningError, FittingError
-from repro.runtime import telemetry
+from repro.runtime import fanout, telemetry
 from repro.stats.kmeans import (
     KMeansResult,
     kmeans_1d_batch,
@@ -257,7 +257,8 @@ def fit_mixture_em_batch(
     n_components: int = 2,
     *,
     config: EMConfig | None = None,
-    initials: Sequence[Mixture | Sequence[Any] | None] | None = None,
+    initials: Sequence[Mixture | Sequence[Any] | KMeansResult | None]
+    | None = None,
     errors: str = "raise",
 ) -> list[EMResult | Exception]:
     """Fit one mixture per row of a ``(n_points, n_samples)`` stack.
@@ -269,12 +270,15 @@ def fit_mixture_em_batch(
     of C-contiguous stacks, so each row's result is bit-identical to
     fitting that row alone.  Rows that satisfy the convergence
     criterion freeze and are compacted out while stragglers keep
-    iterating.
+    iterating.  The loop runs over cache-sized blocks of rows; in a
+    top-level process the blocks of one call are spread over the
+    usable cores (:func:`repro.runtime.fanout.run_blocks`), which
+    changes no row's result.
 
     Every row stays in lockstep until it finishes.  A row with fewer
     live components than its lanes — a k-means split that seeded too
     few, or a component pruned below ``min_weight`` — carries dead
-    lanes (see :func:`_lockstep_block`); a row that collapses to one
+    lanes (see :func:`_fit_block`); a row that collapses to one
     component gets the single-component fit; a row whose M-step or
     mixture update raises anything but :class:`FittingError` keeps
     that exception as its result.
@@ -285,9 +289,11 @@ def fit_mixture_em_batch(
             ``fit_weighted_batch`` hooks drive the loop).
         n_components: Mixture size per row.
         config: Loop configuration shared by all rows.
-        initials: Optional per-row warm starts — a ready mixture or a
-            sequence of components (equal initial weights); ``None``
-            entries k-means-seed.
+        initials: Optional per-row starts — a ready mixture, a
+            sequence of components (equal initial weights) or a
+            precomputed k-means split of the row (a
+            :class:`~repro.stats.kmeans.KMeansResult`, turned into the
+            family's mixture); ``None`` entries k-means-seed.
         errors: ``"raise"`` re-raises the first failing row's error in
             row order; ``"capture"`` returns the exception in that
             row's slot.
@@ -302,7 +308,7 @@ def fit_mixture_em_batch(
     cfg = config or EMConfig()
     n_points = stack.shape[0]
     if initials is None:
-        initial_list: list[Mixture | Sequence[Any] | None] = (
+        initial_list: list[Mixture | Sequence[Any] | KMeansResult | None] = (
             [None] * n_points
         )
     else:
@@ -349,52 +355,36 @@ def _fit_mixture_em_batch_impl(
     family: ComponentFamily,
     n_components: int,
     cfg: EMConfig,
-    initial_list: list[Mixture | Sequence[Any] | None],
+    initial_list: list[Mixture | Sequence[Any] | KMeansResult | None],
     results: list[EMResult | Exception | None],
     block_rows: int,
 ) -> None:
     """Fill ``results`` with one ``EMResult`` or exception per row."""
-    n_points, n_samples = stack.shape
-    minimum = max(16, 8 * n_components)
+    n_points = stack.shape[0]
 
     # --- per-row validation ------------------------------------------
     active: list[int] = []
     for p in range(n_points):
-        try:
-            validate_samples(stack[p], minimum=minimum)
-            if n_components < 1:
-                raise FittingError(
-                    f"n_components must be >= 1, got {n_components}"
-                )
-        except FittingError as error:
+        error = _row_error(stack[p], n_components)
+        if error is None:
+            active.append(p)
+        else:
             results[p] = error
-            continue
-        active.append(p)
 
     # --- initial mixtures (batched k-means where not supplied) -------
-    need_seed = [p for p in active if initial_list[p] is None]
-    seed_results: dict[int, KMeansResult | FittingError] = {}
-    if need_seed:
-        with telemetry.span(
-            "kmeans.seed_batch",
-            n_points=len(need_seed),
-            n=int(n_samples) * len(need_seed),
-        ):
-            batch = kmeans_1d_batch(
-                stack[np.asarray(need_seed, dtype=np.intp)],
-                n_components,
-                n_restarts=cfg.kmeans_restarts,
-                seed=cfg.seed,
-                errors="capture",
-            )
-        seed_results = dict(zip(need_seed, batch))
+    seed_results = _kmeans_splits(
+        stack,
+        [p for p in active if initial_list[p] is None],
+        n_components,
+        cfg,
+    )
     mixtures: dict[int, Mixture] = {}
     batch_rows: list[int] = []
     for p in active:
         initial = initial_list[p]
         try:
-            if initial is None:
-                seeded = seed_results[p]
+            if initial is None or isinstance(initial, KMeansResult):
+                seeded = seed_results.get(p, initial)
                 if isinstance(seeded, Exception):
                     raise seeded
                 mixture = _initial_from_kmeans(stack[p], family, seeded)
@@ -424,22 +414,114 @@ def _fit_mixture_em_batch_impl(
 
     # --- lockstep E/M loop, one block of stack rows at a time ---------
     # Rows are independent, so the split cannot change any row's
-    # result; it keeps each block's stacks cache-sized and lets one
-    # workspace serve every block and iteration.  Every row is ``width``
-    # lanes wide: a row seeded with fewer components pads dead lanes.
+    # result; it keeps each block's stacks cache-sized, and the blocks
+    # of one call run on every usable core (``runtime.fanout``).  Every
+    # row is ``width`` lanes wide: a row seeded with fewer components
+    # pads dead lanes.
     width = max(
         n_components, max(mixtures[p].n_components for p in batch_rows)
     )
-    workspace = Workspace(
-        min(block_rows, len(batch_rows)) * width, n_samples
-    )
-    for start in range(0, n_points, block_rows):
-        block = [p for p in batch_rows if start <= p < start + block_rows]
-        if block:
-            _lockstep_block(
-                stack, block, mixtures, family, n_components, width, cfg,
-                workspace, results,
+    spans = [
+        [p for p in batch_rows if start <= p < start + block_rows]
+        for start in range(0, n_points, block_rows)
+    ]
+    blocks = [block for block in spans if block]
+    payloads = [
+        _Block(
+            stack[block],
+            tuple(mixtures[p] for p in block),
+            family,
+            n_components,
+            width,
+            cfg,
+        )
+        for block in blocks
+    ]
+    for block, outcomes in zip(
+        blocks, fanout.run_blocks(_fit_block, payloads)
+    ):
+        for p, outcome in zip(block, outcomes):
+            results[p] = outcome
+
+
+def _row_error(row: np.ndarray, n_components: int) -> FittingError | None:
+    """Why ``row`` cannot be fitted with ``n_components``, or ``None``."""
+    try:
+        validate_samples(row, minimum=max(16, 8 * n_components))
+        if n_components < 1:
+            raise FittingError(
+                f"n_components must be >= 1, got {n_components}"
             )
+    except FittingError as error:
+        return error
+    return None
+
+
+def _kmeans_starts(
+    stack: np.ndarray, n_components: int, config: EMConfig | None
+) -> list[KMeansResult | None]:
+    """Each fittable row's k-means split, to share between fits.
+
+    A row gets ``None`` where it fails validation or k-means: a fit
+    started from ``None`` validates and seeds it again and so keeps
+    the same error.
+    """
+    splits = _kmeans_splits(
+        stack,
+        [
+            p
+            for p in range(stack.shape[0])
+            if _row_error(stack[p], n_components) is None
+        ],
+        n_components,
+        config or EMConfig(),
+    )
+    return [
+        split if isinstance(split, KMeansResult) else None
+        for split in (splits.get(p) for p in range(stack.shape[0]))
+    ]
+
+
+def _kmeans_splits(
+    stack: np.ndarray,
+    rows: list[int],
+    n_components: int,
+    cfg: EMConfig,
+) -> dict[int, KMeansResult | FittingError]:
+    """The k-means split of each stack row in ``rows``, keyed by row."""
+    if not rows:
+        return {}
+    with telemetry.span(
+        "kmeans.seed_batch",
+        n_points=len(rows),
+        n=int(stack.shape[1]) * len(rows),
+    ):
+        batch = kmeans_1d_batch(
+            stack[np.asarray(rows, dtype=np.intp)],
+            n_components,
+            n_restarts=cfg.kmeans_restarts,
+            seed=cfg.seed,
+            errors="capture",
+        )
+    return dict(zip(rows, batch))
+
+
+def _fold_lanes(lanes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.logaddexp.reduce(lanes, axis=1, out=out)``, bit for bit.
+
+    The reduce over the lane axis of a ``(rows, width, n_samples)``
+    stack is a sequential left fold; spelled out as one ``logaddexp``
+    per further lane it computes the same values, dead (``-inf``)
+    lanes included, at about two thirds of the cost.
+    """
+    width = lanes.shape[1]
+    if width == 1:
+        np.copyto(out, lanes[:, 0])
+        return out
+    np.logaddexp(lanes[:, 0], lanes[:, 1], out=out)
+    for k in range(2, width):
+        np.logaddexp(out, lanes[:, k], out=out)
+    return out
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
@@ -454,25 +536,38 @@ def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
                 stack[dst] = stack[src]
 
 
-def _lockstep_block(
-    stack: np.ndarray,
-    rows: list[int],
-    mixtures: dict[int, Mixture],
-    family: ComponentFamily,
-    n_components: int,
-    width: int,
-    cfg: EMConfig,
-    workspace: Workspace,
-    results: list[EMResult | Exception | None],
-) -> None:
-    """Run the lockstep E/M loop over the stack rows ``rows``.
+@dataclass(frozen=True)
+class _Block:
+    """One lockstep block: everything its E/M loop reads.
 
-    Every row finishes here: its ``results`` slot gets an
-    :class:`EMResult` or the exception its fit raised.  The
-    ``(rows, width, n_samples)`` stacks live in ``workspace`` and are
-    filled in place; the ``a``-th live row is always the ``a``-th
-    leading row, so every reduction runs over a C-contiguous
-    leading-row view (DESIGN §14).
+    Built by the parent and, when a helper process takes the block,
+    pickled to it whole (``runtime.fanout``).
+
+    Attributes:
+        rows: ``(len(mixtures), n_samples)`` C-contiguous stack rows.
+        mixtures: Each row's initial mixture (at least two components).
+        family: Component family.
+        n_components: Requested mixture size.
+        width: Lanes per row (``n_components`` or a wider warm start).
+        cfg: Loop configuration.
+    """
+
+    rows: np.ndarray
+    mixtures: tuple[Mixture, ...]
+    family: ComponentFamily
+    n_components: int
+    width: int
+    cfg: EMConfig
+
+
+def _fit_block(block: _Block) -> list[EMResult | Exception]:
+    """Run the lockstep E/M loop over one block; one outcome per row.
+
+    Every row finishes here with an :class:`EMResult` or the
+    exception its fit raised.  The ``(rows, width, n_samples)`` stacks
+    live in one block-sized workspace and are filled in place; the
+    ``a``-th live row is always the ``a``-th leading row, so every
+    reduction runs over a C-contiguous leading-row view (DESIGN §14).
 
     A row's mixture holds only its live components, in its leading
     lanes; the remaining lanes are dead.  A dead lane has weight
@@ -487,23 +582,26 @@ def _lockstep_block(
     """
     import math
 
+    stack = block.rows
+    family, width, cfg = block.family, block.width, block.cfg
     logpdf_batch = family.logpdf_batch
     fit_weighted_batch = family.fit_weighted_batch
-    n_samples = stack.shape[1]
-    shape = (len(rows), width, n_samples)
+    n_rows, n_samples = stack.shape
+    results: list[EMResult | Exception | None] = [None] * n_rows
+    workspace = Workspace(n_rows * width, n_samples)
+    shape = (n_rows, width, n_samples)
     # Component-interleaved layout: row ``a * width + k`` of the 2-D
     # views is (point ``a``, lane ``k``), so both the density and the
     # M-step calls see one flat stack and compaction moves whole
     # points.
-    flat_rows = len(rows) * width
+    flat_rows = n_rows * width
     data = workspace.take("em.data", flat_rows).reshape(shape)
     log_rows = workspace.take("em.log_rows", flat_rows).reshape(shape)
     responsibilities = workspace.take(
         "em.responsibilities", flat_rows
     ).reshape(shape)
-    log_norm = workspace.take("em.log_norm", len(rows))
-    for a, p in enumerate(rows):
-        data[a] = stack[p]
+    log_norm = workspace.take("em.log_norm", n_rows)
+    data[:] = stack[:, None, :]
 
     def _log_rows(mixture_list: list[Mixture]) -> np.ndarray:
         """Fill the live log rows and normaliser; return the logliks.
@@ -511,8 +609,9 @@ def _lockstep_block(
         ``math.log(weight)`` is a scalar constant and the broadcast add
         is elementwise, hence lane-identical to a per-component
         ``log(w) + logpdf`` add.  The normaliser is a sequential left
-        fold over the lanes; the outer sum is pairwise per contiguous
-        row.  It is kept for the next E-step, which needs exactly it.
+        fold over the lanes (:func:`_fold_lanes`); the outer sum is
+        pairwise per contiguous row.  The normaliser is kept for the
+        next E-step, which needs exactly it.
         """
         alive = len(mixture_list)
         weights: list[float] = []
@@ -538,8 +637,7 @@ def _lockstep_block(
             # A zero-weight component contributes nothing: its row
             # stays at -inf.
             flat[[i for i, w in enumerate(weights) if not w > 0.0]] = -np.inf
-        norm = log_norm[:alive]
-        np.logaddexp.reduce(log_rows[:alive], axis=1, out=norm)
+        norm = _fold_lanes(log_rows[:alive], log_norm[:alive])
         return np.sum(norm, axis=1)
 
     def _realized(mixture: Mixture) -> Mixture:
@@ -551,10 +649,10 @@ def _lockstep_block(
             tuple(family.realize(c) for c in mixture.components),
         )
 
-    mixtures_c = [mixtures[p] for p in rows]
-    idx_c = list(rows)
-    collapsed_c = [mixtures[p].n_components < n_components for p in rows]
-    histories: dict[int, list[float]] = {p: [] for p in rows}
+    mixtures_c = list(block.mixtures)
+    idx_c = list(range(n_rows))
+    collapsed_c = [m.n_components < block.n_components for m in mixtures_c]
+    histories: list[list[float]] = [[] for _ in range(n_rows)]
     logliks = _log_rows(mixtures_c)
 
     def _retire(done: np.ndarray, *stacks: np.ndarray) -> None:
@@ -720,6 +818,7 @@ def _lockstep_block(
             )
             continue
         _finish(a, iteration, False, float(logliks[a]))
+    return results  # type: ignore[return-value]
 
 
 def concentric_initial(
@@ -798,10 +897,34 @@ def fit_mixture_em_multistart(
             f"extra_initials length {len(extras)} does not match "
             f"{n_points} rows"
         )
+    results = _multistart(
+        stack, family, n_components, config, [None] * n_points, extras
+    )
+    if errors == "raise":
+        for outcome in results:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return results
+
+
+def _multistart(
+    stack: np.ndarray,
+    family: ComponentFamily,
+    n_components: int,
+    config: EMConfig | None,
+    splits: Sequence[KMeansResult | None],
+    extras: Sequence[Mixture | None],
+) -> list[EMResult | Exception]:
+    """:func:`fit_mixture_em_multistart` with errors captured.
+
+    ``splits`` holds each row's k-means start, precomputed, or
+    ``None`` to k-means-seed it in the first sweep.
+    """
+    n_points = stack.shape[0]
     results: list[EMResult | Exception | None] = [None] * n_points
     candidates: list[list[EMResult]] = [[] for _ in range(n_points)]
 
-    def sweep(starts: dict[int, Mixture | None]) -> None:
+    def sweep(starts: dict[int, Mixture | KMeansResult | None]) -> None:
         rows = list(starts)
         if not rows:
             return
@@ -819,9 +942,9 @@ def fit_mixture_em_multistart(
             else:
                 candidates[p].append(outcome)
 
-    sweep(dict.fromkeys(range(n_points)))
+    sweep(dict(enumerate(splits)))
     if n_components == 2:
-        concentric: dict[int, Mixture | None] = {}
+        concentric: dict[int, Mixture | KMeansResult | None] = {}
         for p in range(n_points):
             if results[p] is not None:
                 continue
@@ -843,8 +966,4 @@ def fit_mixture_em_multistart(
     for p in range(n_points):
         if results[p] is None:
             results[p] = max(candidates[p], key=lambda result: result.loglik)
-    if errors == "raise":
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
     return results  # type: ignore[return-value]

@@ -394,6 +394,34 @@ class TestLVF2FitBatch:
         serial0 = reference.lvf2_fit(stack[0])
         assert canon_model(batched[0]) == canon_model(serial0)
 
+    def test_one_kmeans_split_serves_both_starts(self):
+        # The Norm2 warm-start fit and the skew-normal k-means start
+        # share one split per row; rows that fail validation or
+        # k-means keep the serial errors.
+        rng = np.random.default_rng(92)
+        stack = bimodal_stack(rng, 4, 80)
+        stack[1] = np.nan
+        stack[2] = 2.5
+        session = TelemetrySession()
+        with telemetry.activate(session):
+            batched = LVF2Model.fit_batch(stack, errors="capture")
+        for index, outcome in enumerate(batched):
+            try:
+                serial = canon_model(reference.lvf2_fit(stack[index]))
+            except Exception as error:  # noqa: BLE001 — error parity
+                assert type(outcome) is type(error)
+                assert str(outcome) == str(error)
+                continue
+            assert canon_model(outcome) == serial
+        seeded = [
+            record.tags["n_points"]
+            for record in session.tracer.records()
+            if record.name == "kmeans.seed_batch"
+        ]
+        # One split of the three valid rows; the unsplittable constant
+        # row is seeded again (and fails again) by each of the fits.
+        assert seeded == [3, 1, 1]
+
 
 class TestScalarFitsMatchReference:
     """Scalar model fits are batches of one; each must equal the serial
