@@ -35,7 +35,7 @@ from repro.circuits.characterize import (
     simulate_condition,
 )
 from repro.circuits.gate import GateTimingEngine
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, raise_first
 from repro.models.lvf import LVFModel
 from repro.models.lvf2 import LVF2Model
 
@@ -54,12 +54,25 @@ def multi_gaussian_indicator(samples: np.ndarray) -> float:
     Positive values mean the data statistically support a second
     component; the magnitude quantifies the §4.3 "degree of
     multi-Gaussian phenomenon" on a scale comparable across sample
-    sizes.
+    sizes.  A batch of one of :func:`_indicators`.
     """
-    lvf = LVFModel.fit(samples)
-    lvf2 = LVF2Model.fit(samples)
-    n = np.asarray(samples).size
-    return float((lvf.bic(samples) - lvf2.bic(samples)) / n)
+    (value,) = _indicators(np.asarray(samples, dtype=float).reshape(1, -1))
+    return value
+
+
+def _indicators(stack: np.ndarray) -> list[float]:
+    """:func:`multi_gaussian_indicator` of each row of a stack.
+
+    One ``fit_batch`` per model over all rows; the first row whose LVF
+    or LVF2 fit fails, LVF first, raises that error.
+    """
+    pairs = list(zip(LVFModel.fit_batch(stack), LVF2Model.fit_batch(stack)))
+    raise_first(outcome for pair in pairs for outcome in pair)
+    n = stack.shape[1]
+    return [
+        float((lvf.bic(row) - lvf2.bic(row)) / n)
+        for (lvf, lvf2), row in zip(pairs, stack)
+    ]
 
 
 @dataclass(frozen=True)
@@ -156,11 +169,12 @@ def plan_adaptive(
         replace(config, n_samples=probe_samples, seed=config.seed ^ 0x5EED),
     )
     shape = config.grid_shape
-    indicator = np.zeros(shape)
     probes = np.empty(shape, dtype=object)
     for i, j in np.ndindex(shape):
         probes[i, j] = probe.samples(quantity, i, j)
-        indicator[i, j] = multi_gaussian_indicator(probes[i, j])
+    indicator = np.array(
+        _indicators(np.stack(list(probes.flat)))
+    ).reshape(shape)
 
     band_scores: dict[int, float] = {}
     for i in range(shape[0]):
@@ -228,7 +242,7 @@ def characterize_adaptive(
         )
         full.append(delay if quantity == "delay" else transition_samples)
     if full:
-        fitted = LVF2Model.fit_batch(np.stack(full))
+        fitted = raise_first(LVF2Model.fit_batch(np.stack(full)))
         for index, model in zip(suspects, fitted):
             models[index] = model
     spent = (

@@ -115,10 +115,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.experiments import score_paper_models
 
     names = [args.name] if args.name else list(scenario_names())
-    for name in names:
-        scenario = get_scenario(name)
-        samples = scenario.sample(args.samples, rng=args.seed)
-        report = score_paper_models(samples)
+    stack = np.stack(
+        [
+            get_scenario(name).sample(args.samples, rng=args.seed)
+            for name in names
+        ]
+    )
+    for name, report in zip(names, score_paper_models(stack)):
         print(f"{name}:")
         for model, row in report.items():
             print(

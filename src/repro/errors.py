@@ -7,6 +7,11 @@ raise the more specific subclasses below.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from typing import TypeVar
+
+_T = TypeVar("_T")
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -108,3 +113,18 @@ def exit_code_for(error: ReproError) -> int:
         if klass in EXIT_CODES:
             return EXIT_CODES[klass]
     return 1
+
+
+def raise_first(outcomes: Iterable[_T | Exception]) -> list[_T]:
+    """The outcomes of a batch fit, or the first row's error.
+
+    Every ``fit_batch`` returns one entry per row: the row's result or
+    the exception its fit raised.  A fail-fast caller passes them here
+    and gets them back as a list, or the first exception in row order
+    raised — the error a per-row loop would have stopped on.
+    """
+    results = list(outcomes)
+    for outcome in results:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return results  # type: ignore[return-value]

@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.binning.metrics import evaluate_models
-from repro.errors import FittingError
+from repro.errors import FittingError, raise_first
 from repro.models import PAPER_MODELS, TimingModel, get_model
 from repro.stats.empirical import EmpiricalDistribution
 
@@ -40,21 +40,34 @@ def paper_scale() -> bool:
 def fit_paper_models(
     samples: np.ndarray,
     model_names: Sequence[str] = PAPER_MODELS,
-) -> dict[str, TimingModel]:
-    """Fit the paper's four models to one golden sample set.
+) -> list[dict[str, TimingModel]]:
+    """Fit the paper's models to each row of a stack of golden sets.
 
-    A model that fails to fit (e.g. LESN on data with non-positive
-    values) falls back to the LVF fit so every table cell stays
-    populated — mirroring how a characterisation flow would degrade.
+    One ``fit_batch`` per model over the ``(n_sets, n_samples)``
+    stack; each row's models equal fitting that row alone.  A model
+    that fails to fit a row with :class:`FittingError` (e.g. LESN on
+    data with non-positive values) falls back to that row's LVF fit
+    so every table cell stays populated — mirroring how a
+    characterisation flow would degrade.  A row whose LVF fit fails
+    raises, and so does any other error: the first such row in row
+    order, LVF before the other models.
     """
-    models: dict[str, TimingModel] = {}
-    fallback = get_model("LVF").fit(samples)
-    for name in model_names:
-        try:
-            models[name] = get_model(name).fit(samples)
-        except FittingError:
-            models[name] = fallback
-    return models
+    lvf_fits = get_model("LVF").fit_batch(samples)
+    fits = {
+        name: lvf_fits if name == "LVF" else get_model(name).fit_batch(samples)
+        for name in model_names
+    }
+    rows: list[dict[str, TimingModel]] = []
+    for p, fallback in enumerate(lvf_fits):
+        models = {
+            name: fallback
+            if isinstance(fits[name][p], FittingError)
+            else fits[name][p]
+            for name in model_names
+        }
+        raise_first([fallback, *models.values()])
+        rows.append(models)
+    return rows
 
 
 def score_paper_models(
@@ -62,11 +75,17 @@ def score_paper_models(
     model_names: Sequence[str] = PAPER_MODELS,
     *,
     baseline: str = "LVF",
-) -> dict[str, dict[str, float]]:
-    """Fit + §4-score the paper's models against golden ``samples``."""
-    golden = EmpiricalDistribution(samples)
-    models = fit_paper_models(samples, model_names)
-    return evaluate_models(models, golden, baseline=baseline)
+) -> list[dict[str, dict[str, float]]]:
+    """Fit + §4-score the paper's models against each golden row.
+
+    One :func:`fit_paper_models` call over the stack; returns one
+    :func:`~repro.binning.metrics.evaluate_models` report per row.
+    """
+    stack = np.asarray(samples, dtype=float)
+    return [
+        evaluate_models(models, EmpiricalDistribution(row), baseline=baseline)
+        for models, row in zip(fit_paper_models(stack, model_names), stack)
+    ]
 
 
 def format_table(

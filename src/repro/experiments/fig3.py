@@ -78,13 +78,19 @@ def run_fig3(
     """
     panels: dict[str, Fig3Panel] = {}
     fitted: dict[str, dict[str, TimingModel]] = {}
-    for index, (name, scenario) in enumerate(SCENARIOS.items()):
-        samples = scenario.sample(n_samples, rng=seed + index)
+    stack = np.stack(
+        [
+            scenario.sample(n_samples, rng=seed + index)
+            for index, scenario in enumerate(SCENARIOS.values())
+        ]
+    )
+    for (name, scenario), samples, models in zip(
+        SCENARIOS.items(), stack, fit_paper_models(stack)
+    ):
         golden = EmpiricalDistribution(samples)
         grid = golden.grid(n_points=n_grid, spread=4.0)
         centers, density = golden.histogram(n_bins=120)
         density_on_grid = np.interp(grid, centers, density)
-        models = fit_paper_models(samples)
         lvf2 = models["LVF2"]
         assert isinstance(lvf2, LVF2Model)
         panels[name] = Fig3Panel(

@@ -23,8 +23,7 @@ from repro.circuits.characterize import (
 )
 from repro.circuits.gate import GateTimingEngine
 from repro.circuits.process import TT_GLOBAL_LOCAL_MC
-from repro.experiments.common import paper_scale
-from repro.models import LVF2Model, LVFModel
+from repro.experiments.common import fit_paper_models, paper_scale
 from repro.stats.empirical import EmpiricalDistribution
 
 __all__ = ["Fig4Result", "run_fig4", "diagonal_contrast"]
@@ -113,7 +112,7 @@ def run_fig4(
     The delay map uses the output-fall arc (the stacked NMOS network,
     where the charge-sharing competition lives) and the transition map
     the same arc's output slew.  Each quantity's grid points are
-    stacked and fitted with one ``fit_batch`` call per model.
+    stacked and fitted by one :func:`fit_paper_models` call.
     """
     samples = n_samples or (50_000 if paper_scale() else 4000)
     sim = engine or GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
@@ -137,16 +136,14 @@ def run_fig4(
                 for j in range(shape[1])
             ]
         )
-        lvf_fits = LVFModel.fit_batch(stack)
-        lvf2_fits = LVF2Model.fit_batch(stack)
         heatmaps[quantity] = np.array(
             [
                 error_reduction(
-                    cdf_rmse(lvf, golden), cdf_rmse(lvf2, golden)
+                    cdf_rmse(models["LVF"], golden),
+                    cdf_rmse(models["LVF2"], golden),
                 )
-                for lvf, lvf2, golden in zip(
-                    lvf_fits,
-                    lvf2_fits,
+                for models, golden in zip(
+                    fit_paper_models(stack, ("LVF", "LVF2")),
                     map(EmpiricalDistribution, stack),
                 )
             ]

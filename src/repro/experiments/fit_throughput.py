@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import raise_first
 from repro.models.lvf2 import LVF2Model
 from repro.runtime import telemetry
 from repro.stats.mixtures import Mixture
@@ -120,7 +121,7 @@ def run_fit_throughput(
         serial_seconds = time.perf_counter() - start
     with telemetry.span("experiment", experiment="fit_batch"):
         start = time.perf_counter()
-        batched = LVF2Model.fit_batch(stack)
+        batched = raise_first(LVF2Model.fit_batch(stack))
         batch_seconds = time.perf_counter() - start
     identical = all(
         a.parameters() == b.parameters()

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.circuits.scenarios import SCENARIOS
 from repro.experiments.common import (
     PAPER_MODELS,
@@ -76,12 +78,17 @@ def run_table1(
     n_samples: int = 50_000, *, seed: int = 0
 ) -> Table1Result:
     """Regenerate Table 1 from the synthetic scenarios."""
-    reductions: dict[str, dict[str, float]] = {}
-    for index, (name, scenario) in enumerate(SCENARIOS.items()):
-        samples = scenario.sample(n_samples, rng=seed + index)
-        report = score_paper_models(samples)
-        reductions[name] = {
+    stack = np.stack(
+        [
+            scenario.sample(n_samples, rng=seed + index)
+            for index, scenario in enumerate(SCENARIOS.values())
+        ]
+    )
+    reductions = {
+        name: {
             model: report[model]["binning_reduction"]
             for model in PAPER_MODELS
         }
+        for name, report in zip(SCENARIOS, score_paper_models(stack))
+    }
     return Table1Result(reductions=reductions)

@@ -41,6 +41,7 @@ from repro.experiments.common import (
     format_table,
     paper_scale,
 )
+from repro.models import TimingModel
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.pool.scheduler import WorkItem
 from repro.runtime.progress import ProgressReporter
@@ -156,6 +157,9 @@ class Table2Result:
             for row in self.rows.values()
             if row.n_arcs > 0
         ]
+        if np.all(np.isnan(values)):
+            # No row scored this cell (``nanmean`` would warn).
+            return float("nan")
         return float(np.nanmean(values))
 
     def headline(self) -> dict[str, dict[str, float]]:
@@ -244,15 +248,18 @@ def _score_arc_task(
     characterization = characterize_arc(
         engine, cell, pin, transition, char_config, checkpoint=store
     )
+    conditions = [
+        (quantity, characterization.samples(quantity, i, j))
+        for quantity in ("delay", "transition")
+        for i in range(len(char_config.slews))
+        for j in range(len(char_config.loads))
+    ]
+    stack = np.stack([samples for _, samples in conditions])
     scratch = Table2Row(cell_type=cell.name)
-    for quantity, metric_prefix in (
-        ("delay", "delay"),
-        ("transition", "transition"),
+    for (quantity, samples), models in zip(
+        conditions, fit_paper_models(stack)
     ):
-        for i in range(len(char_config.slews)):
-            for j in range(len(char_config.loads)):
-                samples = characterization.samples(quantity, i, j)
-                _score_condition(scratch, metric_prefix, samples)
+        _score_condition(scratch, quantity, samples, models)
     return {"reductions": scratch.reductions}
 
 
@@ -396,13 +403,15 @@ def _serial_score(
 
 
 def _score_condition(
-    row: Table2Row, metric_prefix: str, samples: np.ndarray
+    row: Table2Row,
+    metric_prefix: str,
+    samples: np.ndarray,
+    models: dict[str, TimingModel],
 ) -> None:
-    """Fit all models on one distribution and record reductions."""
+    """Score one distribution's fitted models and record reductions."""
     golden = EmpiricalDistribution(samples)
     summary = golden.moments()
     scheme = sigma_binning(summary)
-    models = fit_paper_models(samples)
     binning_errors = {
         name: binning_error(model, golden, scheme)
         for name, model in models.items()

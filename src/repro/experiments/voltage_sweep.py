@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.binning.metrics import evaluate_models
 from repro.circuits.cells import build_cell
 from repro.circuits.gate import GateTimingEngine
@@ -93,22 +95,27 @@ def run_voltage_sweep(
         )
     cell = build_cell(cell_type)
     topology = cell.arc(cell.inputs[0], "fall")
+    stack = np.stack(
+        [
+            GateTimingEngine(
+                corner=TT_GLOBAL_LOCAL_MC.with_supply(vdd)
+            ).simulate_arc(
+                topology,
+                slew=0.01 * (0.8 / vdd) ** 2,
+                load=0.01,
+                n_samples=n_samples,
+                rng=seed + index,
+            ).delay
+            for index, vdd in enumerate(supplies)
+        ]
+    )
     reductions: dict[float, dict[str, float]] = {}
     skews = []
-    for index, vdd in enumerate(supplies):
-        engine = GateTimingEngine(
-            corner=TT_GLOBAL_LOCAL_MC.with_supply(vdd)
-        )
-        result = engine.simulate_arc(
-            topology,
-            slew=0.01 * (0.8 / vdd) ** 2,
-            load=0.01,
-            n_samples=n_samples,
-            rng=seed + index,
-        )
-        golden = EmpiricalDistribution(result.delay)
+    for vdd, delay, models in zip(
+        supplies, stack, fit_paper_models(stack, SWEEP_MODELS)
+    ):
+        golden = EmpiricalDistribution(delay)
         skews.append(golden.moments().skewness)
-        models = fit_paper_models(result.delay, SWEEP_MODELS)
         report = evaluate_models(models, golden)
         reductions[vdd] = {
             model: report[model]["binning_reduction"]

@@ -112,15 +112,22 @@ class TimingModel(abc.ABC):
     @classmethod
     def fit_batch(
         cls: type[ModelT], samples: np.ndarray, **kwargs: Any
-    ) -> list[ModelT]:
+    ) -> list[ModelT | Exception]:
         """Fit one model per row of a ``(n_points, n_samples)`` stack.
 
-        The default calls :meth:`fit` on each row with ``kwargs``, so
-        the first failing row raises its error; models whose fit is a
+        Returns one entry per row: the model ``fit(row, **kwargs)``
+        returns, or the exception it raises.  A fail-fast caller
+        passes the list through :func:`repro.errors.raise_first`.  The
+        default calls :meth:`fit` on each row; models whose fit is a
         batched EM override it with one lockstep call over all rows.
-        Either way each row's model equals ``fit(row, **kwargs)``.
         """
-        return [cls.fit(row, **kwargs) for row in _as_stack(samples)]
+        outcomes: list[ModelT | Exception] = []
+        for row in _as_stack(samples):
+            try:
+                outcomes.append(cls.fit(row, **kwargs))
+            except Exception as error:  # noqa: BLE001 — the row's outcome
+                outcomes.append(error)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Distribution queries

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from repro.errors import FittingError, ParameterError
+from repro.errors import FittingError, ParameterError, raise_first
 from repro.models.base import TimingModel, _from_mixture, register_model
 from repro.models.lvf import (
     LVFModel,
@@ -38,9 +38,9 @@ from repro.stats.em import (
     EMConfig,
     _as_stack,
     _kmeans_starts,
-    _multistart,
     _single_row,
     fit_mixture_em_batch,
+    fit_mixture_em_multistart,
 )
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary, _weighted_moments_rows
@@ -122,9 +122,7 @@ def _sn_fit_weighted_batch(
     ``data`` and ``weights`` are C-contiguous stacks of equal shape.
     """
     results: "list[_SNLane | Exception]" = []
-    for summary in _weighted_moments_rows(
-        data, weights, errors="capture", raw=True, workspace=workspace
-    ):
+    for summary in _weighted_moments_rows(data, weights, workspace):
         if isinstance(summary, Exception):
             results.append(summary)
             continue
@@ -214,10 +212,12 @@ class LVF2Model(TimingModel):
             Fitted model; collapses to ``lambda = 0`` when the data do
             not support two components.
         """
-        (model,) = cls.fit_batch(
-            _single_row(samples, "LVF2Model.fit", "LVF2Model.fit_batch"),
-            config=config,
-            refine=refine,
+        (model,) = raise_first(
+            cls.fit_batch(
+                _single_row(samples, "LVF2Model.fit", "LVF2Model.fit_batch"),
+                config=config,
+                refine=refine,
+            )
         )
         return model
 
@@ -228,7 +228,6 @@ class LVF2Model(TimingModel):
         *,
         config: EMConfig | None = None,
         refine: str = "none",
-        errors: str = "raise",
         **kwargs: Any,
     ) -> "list[LVF2Model | Exception]":
         """Fit one LVF2 model per row of a ``(n_points, n_samples)`` stack.
@@ -250,12 +249,10 @@ class LVF2Model(TimingModel):
             config: EM settings shared by all rows.
             refine: ``"mle"`` polishes every uncollapsed row with
                 :meth:`refine_mle`, as :meth:`fit` documents.
-            errors: ``"raise"`` re-raises the first failing row's error
-                in row order; ``"capture"`` stores exceptions in their
-                row slots so the caller can fall back per point.
 
         Returns:
-            One fitted model (or captured exception) per row.
+            One entry per row: the fitted model, or the exception
+            :meth:`fit` raises on that row.
         """
         from repro.models.norm2 import GAUSSIAN_FAMILY
 
@@ -263,8 +260,6 @@ class LVF2Model(TimingModel):
             raise ParameterError(
                 f"refine must be 'none' or 'mle', got {refine!r}"
             )
-        if errors not in ("raise", "capture"):
-            raise ValueError(f"unknown errors mode: {errors!r}")
         stack = _as_stack(samples)
         n_points = stack.shape[0]
         results: "list[LVF2Model | Exception | None]" = [None] * n_points
@@ -277,7 +272,6 @@ class LVF2Model(TimingModel):
             n_components=2,
             config=config,
             initials=splits,
-            errors="capture",
         )
         for p, gaussian in enumerate(gaussian_results):
             if isinstance(gaussian, FittingError):
@@ -297,13 +291,13 @@ class LVF2Model(TimingModel):
                 results[p] = error
 
         live = [p for p in range(n_points) if results[p] is None]
-        fits = _multistart(
+        fits = fit_mixture_em_multistart(
             stack[live],
             SKEW_NORMAL_FAMILY,
             2,
-            config,
-            [splits[p] for p in live],
-            [warms[p] for p in live],
+            config=config,
+            splits=[splits[p] for p in live],
+            extra_initials=[warms[p] for p in live],
         )
         for p, best in zip(live, fits):
             if isinstance(best, Exception):
@@ -316,10 +310,6 @@ class LVF2Model(TimingModel):
                 results[p] = model
             except Exception as error:  # noqa: BLE001 — row error
                 results[p] = error
-        if errors == "raise":
-            for outcome in results:
-                if isinstance(outcome, Exception):
-                    raise outcome
         assert all(outcome is not None for outcome in results)
         return results  # type: ignore[return-value]
 

@@ -15,13 +15,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, raise_first
 from repro.models.base import TimingModel, _from_mixture, register_model
 from repro.models.gaussian import GaussianModel
 from repro.stats.em import (
     ComponentFamily,
     EMConfig,
-    _as_stack,
     _single_row,
     fit_mixture_em_multistart,
 )
@@ -73,14 +72,13 @@ def _gaussian_fit_weighted_batch(
     ``data`` and ``weights`` are C-contiguous stacks of equal shape.
     """
     results: list[GaussianModel | Exception] = []
-    for summary in _weighted_moments_rows(
-        data, weights, errors="capture", raw=False, workspace=workspace
-    ):
+    for summary in _weighted_moments_rows(data, weights, workspace):
         if isinstance(summary, Exception):
             results.append(summary)
             continue
+        mean, std, _ = summary
         try:
-            results.append(GaussianModel(summary.mean, summary.std))
+            results.append(GaussianModel(mean, std))
         except Exception as error:  # noqa: BLE001 — mirrors serial raise
             results.append(error)
     return results
@@ -147,9 +145,13 @@ class Norm2Model(TimingModel):
         A batch of one: runs :meth:`fit_batch` on the samples as its
         single row.
         """
-        (model,) = cls.fit_batch(
-            _single_row(samples, "Norm2Model.fit", "Norm2Model.fit_batch"),
-            config=config,
+        (model,) = raise_first(
+            cls.fit_batch(
+                _single_row(
+                    samples, "Norm2Model.fit", "Norm2Model.fit_batch"
+                ),
+                config=config,
+            )
         )
         return model
 
@@ -160,25 +162,28 @@ class Norm2Model(TimingModel):
         *,
         config: EMConfig | None = None,
         **kwargs: Any,
-    ) -> list["Norm2Model"]:
+    ) -> "list[Norm2Model | Exception]":
         """Fit one Norm2 model per row of a ``(n_points, n_samples)`` stack.
 
         Multi-start EM (k-means and concentric seeds, best likelihood
         wins) by :func:`~repro.stats.em.fit_mixture_em_multistart`,
-        all rows in lockstep.  The first failing row, in row order,
-        raises its error.
+        all rows in lockstep.  Returns one entry per row: the fitted
+        model, or the exception :meth:`fit` raises on that row.
         """
-        models: list[Norm2Model] = []
+        models: "list[Norm2Model | Exception]" = []
         for best in fit_mixture_em_multistart(
-            _as_stack(samples),
+            samples,
             GAUSSIAN_FAMILY,
             n_components=2,
             config=config,
-            errors="capture",
         ):
             if isinstance(best, Exception):
-                raise best
-            models.append(_from_mixture(cls, best.mixture))
+                models.append(best)
+                continue
+            try:
+                models.append(_from_mixture(cls, best.mixture))
+            except Exception as error:  # noqa: BLE001 — row error
+                models.append(error)
         return models
 
     # ------------------------------------------------------------------

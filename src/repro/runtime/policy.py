@@ -84,18 +84,16 @@ class FitPolicy:
         reseed_restarts: k-means restarts per reseeded attempt.
         sigma_floor: Relative width of the ``degenerate`` placeholder
             (scaled by ``max(1, |mean|)``).
-        allow_degenerate: Disable the final placeholder rung to make
-            truly unfittable data raise :class:`FittingError` instead.
         rungs: Ladder order; must be a subsequence of
             :data:`DEFAULT_RUNGS`, so ``LVF2`` is first when present.
             ``("LVF2",)`` is strict mode: a point LVF2 cannot fit
-            raises :class:`FittingError`.
+            raises :class:`FittingError`.  A ladder without
+            ``"degenerate"`` raises for data no model can represent.
     """
 
     reseed_seeds: tuple[int, ...] = (1013, 2027)
     reseed_restarts: int = 8
     sigma_floor: float = 1e-9
-    allow_degenerate: bool = True
     rungs: tuple[str, ...] = DEFAULT_RUNGS
 
     def __post_init__(self) -> None:
@@ -145,8 +143,6 @@ class FitPolicy:
         )
 
     def _fit_degenerate(self, samples: np.ndarray) -> LVF2Model:
-        if not self.allow_degenerate:
-            raise FittingError("degenerate placeholder rung disabled")
         mean = float(samples.mean())
         floor = self.sigma_floor * max(1.0, abs(mean))
         sigma = max(float(samples.std()), floor)
@@ -182,7 +178,8 @@ class FitPolicy:
 
         Raises:
             FittingError: Only when *every* rung fails (e.g. no finite
-                samples at all, or the placeholder rung is disabled).
+                samples at all, or a ladder without the placeholder
+                rung).
         """
         (outcome,) = self.fit_batch_iter([samples], [context])
         return outcome
@@ -238,8 +235,7 @@ class FitPolicy:
             ):
                 for members in groups.values():
                     batch = LVF2Model.fit_batch(
-                        np.stack([finites[i] for i in members]),
-                        errors="capture",
+                        np.stack([finites[i] for i in members])
                     )
                     prefits.update(zip(members, batch))
         for index, (raw, finite) in enumerate(zip(items, finites)):

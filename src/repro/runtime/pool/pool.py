@@ -53,7 +53,6 @@ from repro.runtime.pool.claims import (
 from repro.runtime.pool.journal import PoolJournal
 from repro.runtime.pool.scheduler import WorkItem, shards
 from repro.runtime.pool.status import (
-    DEFAULT_STATUS_INTERVAL,
     StatusWriter,
     finalize_pool_meta,
     write_pool_meta,
@@ -83,6 +82,13 @@ _FAMILY_BY_CODE = MappingProxyType(
 #: Exit codes worth respawning replacement workers for: the worker
 #: died (not: the work itself fails deterministically).
 _RETRYABLE_CODES = frozenset({EXIT_KILLED, EXIT_CRASH})
+
+#: Replacement rounds spawned when workers die retryably with items
+#: still missing.
+_RESPAWN_ROUNDS = 1
+
+#: Parent-sweep wait between attempts on a live foreign claim (s).
+_POLL_INTERVAL = 0.05
 
 
 def exit_family(code: int) -> str:
@@ -117,17 +123,10 @@ class PoolConfig:
             process-wide policy at spawn time.
         claim_skew: Cross-host clock-skew tolerance (seconds) added
             to the claim timeout in every liveness judgement.
-        respawn: How many replacement rounds to spawn when workers
-            die retryably with items still missing.
-        poll_interval: Parent-sweep wait between attempts on a live
-            foreign claim, in seconds.
         merge_traces: Merge worker traces at shutdown into
             ``trace-<run_id>-merged.jsonl`` (callers that fold the
             worker traces into a bigger merge themselves turn this
             off).
-        status_interval: Minimum seconds between a worker's live
-            status-file rewrites (``repro status`` reads these; see
-            :mod:`repro.runtime.pool.status`).
     """
 
     n_workers: int = 2
@@ -140,10 +139,7 @@ class PoolConfig:
     fs_fault_plans: Mapping[int, FsFaultPlan] | None = None
     fs_retry: RetryPolicy | None = None
     claim_skew: float = DEFAULT_SKEW_TOLERANCE
-    respawn: int = 1
-    poll_interval: float = 0.05
     merge_traces: bool = True
-    status_interval: float = DEFAULT_STATUS_INTERVAL
 
 
 @dataclass
@@ -224,7 +220,6 @@ def _spawn_round(
                 fault_plan=plan,
                 fs_plan=fs_plan,
                 fs_retry=config.fs_retry or fsfaults.retry_policy(),
-                status_interval=config.status_interval,
             )
         )
     processes = [
@@ -270,16 +265,14 @@ def _parent_sweep(
         skew_tolerance=config.claim_skew,
         owner=f"{socket.gethostname()}:{os.getpid()}:parent",
     )
-    status = StatusWriter(
-        pool_store.directory, "parent", interval=config.status_interval
-    )
+    status = StatusWriter(pool_store.directory, "parent")
     writes_before = pool_store.writes
     for item in items:
         status.update("sweeping", item=item.label)
         while True:
             if execute_item(item, pool_store, claims, journal, "parent"):
                 break
-            time.sleep(config.poll_interval)
+            time.sleep(_POLL_INTERVAL)
         status.advance()
     status.close("done")
     return pool_store.writes - writes_before, claims.reclaimed
@@ -370,7 +363,7 @@ def run_pool(
         all_traces = list(traces)
         round_index = 0
         while (
-            round_index < config.respawn
+            round_index < _RESPAWN_ROUNDS
             and any(
                 code in _RETRYABLE_CODES or code < 0
                 for code in all_codes

@@ -44,7 +44,7 @@ from repro.runtime.pool.claims import (
 )
 from repro.runtime.pool.journal import PoolJournal
 from repro.runtime.pool.scheduler import WorkItem, shard_of, shards
-from repro.runtime.pool.status import DEFAULT_STATUS_INTERVAL, StatusWriter
+from repro.runtime.pool.status import StatusWriter
 
 __all__ = [
     "EXIT_CRASH",
@@ -90,9 +90,6 @@ class WorkerSpec:
             (chaos tests target individual workers with this).
         fs_retry: Transient-filesystem-error retry policy installed in
             the worker process (None keeps the process default).
-        status_interval: Minimum seconds between live-status heartbeat
-            rewrites (``pool-status-wNN.json``; see
-            :mod:`repro.runtime.pool.status`).
     """
 
     worker_id: int
@@ -108,7 +105,6 @@ class WorkerSpec:
     claim_skew: float = DEFAULT_SKEW_TOLERANCE
     fs_plan: FsFaultPlan | None = field(default=None)
     fs_retry: RetryPolicy | None = field(default=None)
-    status_interval: float = DEFAULT_STATUS_INTERVAL
 
 
 def execute_item(
@@ -225,11 +221,7 @@ def run_worker(spec: WorkerSpec) -> int:
         spec.store_dir,
         defaults={"run": spec.run_id} if spec.run_id else None,
     )
-    status = StatusWriter(
-        spec.store_dir,
-        f"w{spec.worker_id:02d}",
-        interval=spec.status_interval,
-    )
+    status = StatusWriter(spec.store_dir, f"w{spec.worker_id:02d}")
     rng = np.random.default_rng(
         np.random.SeedSequence([spec.seed, spec.worker_id])
     )

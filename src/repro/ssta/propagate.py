@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from repro.binning.metrics import binning_error, error_reduction
-from repro.errors import SSTAError
+from repro.errors import SSTAError, raise_first
 from repro.models.base import get_model
 from repro.runtime import telemetry
 from repro.ssta.ops import sum_models
@@ -127,7 +127,9 @@ def propagate_path(
             kwargs = overrides.get(name, {})
             accumulated = None
             with telemetry.span("ssta.model", model=name):
-                stage_models = model_cls.fit_batch(stack, **kwargs)
+                stage_models = raise_first(
+                    model_cls.fit_batch(stack, **kwargs)
+                )
                 for stage_model, golden in zip(stage_models, goldens):
                     if accumulated is None:
                         accumulated = stage_model

@@ -23,9 +23,7 @@ from repro.stats.mixtures import Mixture, mixture_moments
 from repro.stats.moments import (
     MomentSummary,
     sample_moments,
-    sample_moments_batch,
     weighted_moments,
-    weighted_moments_batch,
 )
 from repro.stats.skew_normal import (
     MAX_SKEWNESS,
@@ -61,7 +59,5 @@ __all__ = [
     "moments_to_params",
     "params_to_moments",
     "sample_moments",
-    "sample_moments_batch",
     "weighted_moments",
-    "weighted_moments_batch",
 ]

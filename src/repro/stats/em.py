@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConvergenceWarningError, FittingError
+from repro.errors import ConvergenceWarningError, FittingError, raise_first
 from repro.runtime import fanout, telemetry
 from repro.stats.kmeans import (
     KMeansResult,
@@ -228,14 +228,30 @@ def fit_mixture_em(
         ConvergenceWarningError: Only when
             ``config.require_convergence`` is set and the cap is hit.
     """
-    (result,) = fit_mixture_em_batch(
-        _single_row(samples, "fit_mixture_em", "fit_mixture_em_batch"),
-        family,
-        n_components,
-        config=config,
-        initials=[initial],
+    (result,) = raise_first(
+        fit_mixture_em_batch(
+            _single_row(samples, "fit_mixture_em", "fit_mixture_em_batch"),
+            family,
+            n_components,
+            config=config,
+            initials=[initial],
+        )
     )
     return result
+
+
+def _per_row(
+    values: Sequence[Any] | None, n_points: int, name: str
+) -> list[Any]:
+    """``values`` as one entry per stack row; all ``None`` if omitted."""
+    if values is None:
+        return [None] * n_points
+    entries = list(values)
+    if len(entries) != n_points:
+        raise FittingError(
+            f"{name} length {len(entries)} does not match {n_points} rows"
+        )
+    return entries
 
 
 #: Bytes of one ``(rows, n_components, n_samples)`` float64 stack in a
@@ -259,7 +275,6 @@ def fit_mixture_em_batch(
     config: EMConfig | None = None,
     initials: Sequence[Mixture | Sequence[Any] | KMeansResult | None]
     | None = None,
-    errors: str = "raise",
 ) -> list[EMResult | Exception]:
     """Fit one mixture per row of a ``(n_points, n_samples)`` stack.
 
@@ -279,9 +294,10 @@ def fit_mixture_em_batch(
     live components than its lanes — a k-means split that seeded too
     few, or a component pruned below ``min_weight`` — carries dead
     lanes (see :func:`_fit_block`); a row that collapses to one
-    component gets the single-component fit; a row whose M-step or
-    mixture update raises anything but :class:`FittingError` keeps
-    that exception as its result.
+    component gets the single-component fit.  A row that fails
+    validation or k-means, or whose M-step or mixture update raises
+    anything but :class:`FittingError`, keeps that exception as its
+    result.
 
     Args:
         samples: 2-D stack, one row of observations per grid point.
@@ -294,30 +310,16 @@ def fit_mixture_em_batch(
             precomputed k-means split of the row (a
             :class:`~repro.stats.kmeans.KMeansResult`, turned into the
             family's mixture); ``None`` entries k-means-seed.
-        errors: ``"raise"`` re-raises the first failing row's error in
-            row order; ``"capture"`` returns the exception in that
-            row's slot.
 
     Returns:
-        One :class:`EMResult` per row, with captured exceptions
-        interleaved when ``errors="capture"``.
+        One entry per row: the :class:`EMResult`
+        :func:`fit_mixture_em` returns for that row alone, or the
+        exception it raises.
     """
-    if errors not in ("raise", "capture"):
-        raise ValueError(f"unknown errors mode: {errors!r}")
     stack = _as_stack(samples)
     cfg = config or EMConfig()
     n_points = stack.shape[0]
-    if initials is None:
-        initial_list: list[Mixture | Sequence[Any] | KMeansResult | None] = (
-            [None] * n_points
-        )
-    else:
-        initial_list = list(initials)
-        if len(initial_list) != n_points:
-            raise FittingError(
-                f"initials length {len(initial_list)} does not match "
-                f"{n_points} rows"
-            )
+    initial_list = _per_row(initials, n_points, "initials")
     results: list[EMResult | Exception | None] = [None] * n_points
     block_rows = _block_rows(n_components, stack.shape[1])
 
@@ -342,10 +344,6 @@ def fit_mixture_em_batch(
             telemetry.counter_inc("em.collapsed")
         if not outcome.converged:
             telemetry.counter_inc("em.nonconverged")
-    if errors == "raise":
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
     assert all(outcome is not None for outcome in results)
     return results  # type: ignore[return-value]
 
@@ -501,7 +499,6 @@ def _kmeans_splits(
             n_components,
             n_restarts=cfg.kmeans_restarts,
             seed=cfg.seed,
-            errors="capture",
         )
     return dict(zip(rows, batch))
 
@@ -677,7 +674,7 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
                 collapsed=collapsed_c[a],
                 history=tuple(histories[p]),
             )
-        except Exception as error:  # captured; re-raised by the caller
+        except Exception as error:  # captured per row
             results[p] = error
 
     iteration = 0
@@ -856,8 +853,8 @@ def fit_mixture_em_multistart(
     n_components: int = 2,
     *,
     config: EMConfig | None = None,
+    splits: Sequence[KMeansResult | None] | None = None,
     extra_initials: Sequence[Mixture | None] | None = None,
-    errors: str = "raise",
 ) -> list[EMResult | Exception]:
     """Multi-start EM per row: k-means, concentric, then a caller start.
 
@@ -878,49 +875,18 @@ def fit_mixture_em_multistart(
         family: Component family.
         n_components: Mixture size per row.
         config: Loop configuration shared by every start.
+        splits: Optional per-row precomputed k-means split for the
+            first start (or ``None`` to k-means-seed that row).
         extra_initials: Optional per-row extra start (or ``None``).
-        errors: ``"raise"`` re-raises the first failing row's error in
-            row order; ``"capture"`` returns it in that row's slot.
 
     Returns:
-        One best :class:`EMResult` (or captured exception) per row.
+        One entry per row: its best :class:`EMResult`, or the
+        exception its fit raised.
     """
-    if errors not in ("raise", "capture"):
-        raise ValueError(f"unknown errors mode: {errors!r}")
     stack = _as_stack(samples)
     n_points = stack.shape[0]
-    extras = (
-        [None] * n_points if extra_initials is None else list(extra_initials)
-    )
-    if len(extras) != n_points:
-        raise FittingError(
-            f"extra_initials length {len(extras)} does not match "
-            f"{n_points} rows"
-        )
-    results = _multistart(
-        stack, family, n_components, config, [None] * n_points, extras
-    )
-    if errors == "raise":
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
-    return results
-
-
-def _multistart(
-    stack: np.ndarray,
-    family: ComponentFamily,
-    n_components: int,
-    config: EMConfig | None,
-    splits: Sequence[KMeansResult | None],
-    extras: Sequence[Mixture | None],
-) -> list[EMResult | Exception]:
-    """:func:`fit_mixture_em_multistart` with errors captured.
-
-    ``splits`` holds each row's k-means start, precomputed, or
-    ``None`` to k-means-seed it in the first sweep.
-    """
-    n_points = stack.shape[0]
+    split_list = _per_row(splits, n_points, "splits")
+    extras = _per_row(extra_initials, n_points, "extra_initials")
     results: list[EMResult | Exception | None] = [None] * n_points
     candidates: list[list[EMResult]] = [[] for _ in range(n_points)]
 
@@ -934,7 +900,6 @@ def _multistart(
             n_components,
             config=config,
             initials=list(starts.values()),
-            errors="capture",
         )
         for p, outcome in zip(rows, outcomes):
             if isinstance(outcome, Exception):
@@ -942,7 +907,7 @@ def _multistart(
             else:
                 candidates[p].append(outcome)
 
-    sweep(dict(enumerate(splits)))
+    sweep(dict(enumerate(split_list)))
     if n_components == 2:
         concentric: dict[int, Mixture | KMeansResult | None] = {}
         for p in range(n_points):

@@ -86,7 +86,6 @@ def kmeans_1d_batch(
     max_iter: int = 100,
     n_restarts: int = 4,
     seed: int | None = 0,
-    errors: str = "raise",
 ) -> list[KMeansResult | FittingError]:
     """Cluster each row of a ``(n_points, n_samples)`` stack of scalars.
 
@@ -108,16 +107,11 @@ def kmeans_1d_batch(
         max_iter: Lloyd-iteration cap per restart.
         n_restarts: Independent seedings per row; lowest inertia wins.
         seed: RNG seed; every row's generator is seeded with it.
-        errors: ``"raise"`` re-raises the first failing row's error in
-            row order; ``"capture"`` stores the error in that row's
-            result slot.
 
     Returns:
-        One :class:`KMeansResult` (or captured :class:`FittingError`)
-        per row.
+        One entry per row: its :class:`KMeansResult`, or the
+        :class:`FittingError` saying why the row cannot be clustered.
     """
-    if errors not in ("raise", "capture"):
-        raise ValueError(f"unknown errors mode: {errors!r}")
     stack = np.asarray(samples, dtype=float)
     if stack.ndim != 2:
         raise FittingError(
@@ -141,10 +135,8 @@ def kmeans_1d_batch(
             )
         if error is None:
             valid_rows.append(p)
-            continue
-        if errors == "raise":
-            raise error
-        results[p] = error
+        else:
+            results[p] = error
     # One generator per row, seeded identically — a serial loop calls
     # ``default_rng(seed)`` afresh for every row, so this matches its
     # draw sequence exactly.

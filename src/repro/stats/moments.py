@@ -27,13 +27,10 @@ __all__ = [
     "central_moment",
     "excess_kurtosis",
     "sample_moments",
-    "sample_moments_batch",
     "skewness",
     "standard_error_of_mean",
     "validate_samples",
-    "validate_samples_batch",
     "weighted_moments",
-    "weighted_moments_batch",
 ]
 
 
@@ -94,47 +91,6 @@ def validate_samples(samples: np.ndarray, minimum: int = 2) -> np.ndarray:
         )
     if not np.all(np.isfinite(array)):
         bad = int(np.count_nonzero(~np.isfinite(array)))
-        raise FittingError(f"samples contain {bad} non-finite values")
-    return np.ascontiguousarray(array)
-
-
-def validate_samples_batch(
-    samples: np.ndarray, minimum: int = 2
-) -> np.ndarray:
-    """Coerce a stacked ``(n_points, n_samples)`` batch to finite floats.
-
-    The batched counterpart of :func:`validate_samples`: every row must
-    individually pass the serial checks, and the error raised for a bad
-    row carries the exact message the serial validator would produce for
-    that row, so a batched caller fails identically to a per-row loop.
-
-    Args:
-        samples: 2-D array-like, one row per grid point.
-        minimum: Minimum acceptable number of samples per row.
-
-    Returns:
-        A C-contiguous 2-D ``float64`` array.  Row-contiguity is what
-        makes per-row reductions (``axis=-1``) bit-identical to the
-        serial 1-D reductions.
-
-    Raises:
-        FittingError: If the input is not 2-D, a row is too short, or a
-            row contains non-finite values.
-    """
-    array = np.asarray(samples, dtype=float)
-    if array.ndim != 2:
-        raise FittingError(
-            "batched samples must be a 2-D (n_points, n_samples) "
-            f"array, got ndim={array.ndim}"
-        )
-    if array.shape[1] < minimum:
-        raise FittingError(
-            f"need at least {minimum} samples, got {array.shape[1]}"
-        )
-    finite = np.isfinite(array)
-    if not np.all(finite):
-        row = int(np.argmin(np.all(finite, axis=1)))
-        bad = int(np.count_nonzero(~finite[row]))
         raise FittingError(f"samples contain {bad} non-finite values")
     return np.ascontiguousarray(array)
 
@@ -242,116 +198,24 @@ def weighted_moments(samples: np.ndarray, weights: np.ndarray) -> MomentSummary:
     return MomentSummary(mean, std, skew, kurt, count=effective)
 
 
-def sample_moments_batch(samples: np.ndarray) -> list[MomentSummary]:
-    """Batched :func:`sample_moments` over a ``(n_points, n_samples)`` stack.
-
-    Every reduction runs along the last axis of a C-contiguous stack,
-    where numpy's pairwise summation visits each row in exactly the
-    order the serial 1-D reduction does — the results are bit-identical
-    to calling :func:`sample_moments` on each row, not approximately
-    equal.
-
-    Raises:
-        FittingError: With the serial error message if any row is
-            degenerate (zero variance) or fails validation; raised for
-            the first offending row in row order, exactly where a
-            serial loop would stop.
-    """
-    with telemetry.span(
-        "moments.sample_batch",
-        n_points=int(np.shape(samples)[0]) if np.ndim(samples) else 0,
-        n=int(np.size(samples)),
-    ):
-        array = validate_samples_batch(samples)
-        means = array.mean(axis=1)
-        stds = array.std(axis=1)
-        if np.any(stds == 0.0):
-            raise FittingError("samples have zero variance")
-        deviations = (array - means[:, None]) / stds[:, None]
-        skews = np.mean(deviations**3, axis=1)
-        kurts = np.mean(deviations**4, axis=1) - 3.0
-    count = array.shape[1]
-    return [
-        MomentSummary(
-            float(means[p]),
-            float(stds[p]),
-            float(skews[p]),
-            float(kurts[p]),
-            count=count,
-        )
-        for p in range(array.shape[0])
-    ]
-
-
-def weighted_moments_batch(
-    samples: np.ndarray,
-    weights: np.ndarray,
-    *,
-    errors: str = "raise",
-    raw: bool = False,
-) -> "list[MomentSummary | tuple | Exception]":
-    """Batched :func:`weighted_moments` over stacked rows.
-
-    The EM M-step calls this once per component with the whole grid's
-    responsibilities stacked row-wise.  All sums run along ``axis=1``
-    of C-contiguous stacks (bit-identical to the serial pairwise sums);
-    the scalar finishing arithmetic per row (``/ std**3`` etc.) is
-    plain Python, mirroring the serial expressions token for token.
-
-    Args:
-        samples: ``(n_points, n_samples)`` observations.
-        weights: Non-negative responsibilities, same shape.
-        errors: ``"raise"`` re-raises the first failing row's error in
-            row order (serial-loop semantics); ``"capture"`` returns
-            the exception in that row's slot instead, so the caller
-            can eject just the bad rows.
-        raw: Return plain ``(mean, std, skewness)`` tuples instead of
-            :class:`MomentSummary` objects.  Every scalar (and every
-            possible error, including the Kish effective-count
-            arithmetic) is still computed identically — only the
-            container allocation is skipped, for callers on the EM hot
-            path that read just the moment triple.
-
-    Returns:
-        One :class:`MomentSummary` (or raw triple) per row, with
-        captured errors interleaved when ``errors="capture"``.
-    """
-    if errors not in ("raise", "capture"):
-        raise ValueError(f"unknown errors mode: {errors!r}")
-    array = np.asarray(samples, dtype=float)
-    weight = np.asarray(weights, dtype=float)
-    if array.ndim != 2 or weight.ndim != 2:
-        raise FittingError(
-            "batched samples/weights must be 2-D (n_points, n_samples) "
-            f"arrays, got ndim={array.ndim} vs ndim={weight.ndim}"
-        )
-    if array.shape != weight.shape:
-        raise FittingError(
-            f"samples/weights shape mismatch: {array.shape} vs "
-            f"{weight.shape}"
-        )
-    return _weighted_moments_rows(
-        np.ascontiguousarray(array),
-        np.ascontiguousarray(weight),
-        errors=errors,
-        raw=raw,
-    )
-
-
 def _weighted_moments_rows(
     array: np.ndarray,
     weight: np.ndarray,
-    *,
-    errors: str,
-    raw: bool,
     workspace: Workspace | None = None,
-) -> "list[MomentSummary | tuple | Exception]":
-    """Kernel of :func:`weighted_moments_batch` on validated stacks.
+) -> "list[tuple[float, float, float] | Exception]":
+    """Row-wise :func:`weighted_moments`: the EM M-step's kernel.
 
     ``array`` and ``weight`` must be C-contiguous 2-D stacks of equal
-    shape.  Every ``(n_points, n_samples)`` temporary lives in
-    ``workspace`` (a fresh one when ``None``), so the EM loop, which
-    passes its block workspace, allocates no row-sized array here.
+    shape.  All sums run along ``axis=1`` (bit-identical to the serial
+    pairwise sums); the scalar finishing arithmetic per row (``/
+    std**3`` etc.) is plain Python, mirroring the serial expressions
+    token for token.  Each row's entry is its ``(mean, std, skewness)``
+    — the fields the M-step reads — or the exception
+    :func:`weighted_moments` raises on that row.
+
+    Every ``(n_points, n_samples)`` temporary lives in ``workspace`` (a
+    fresh one when ``None``), so the EM loop, which passes its block
+    workspace, allocates no row-sized array here.
     """
     rows, n_samples = array.shape
     scratch = workspace or Workspace(rows, n_samples)
@@ -383,13 +247,9 @@ def _weighted_moments_rows(
         sums3 = np.sum(
             np.multiply(probability, power, out=product), axis=1
         )
-        np.multiply(power, deviations, out=power)  # cubed * deviations
-        sums4 = np.sum(
-            np.multiply(probability, power, out=product), axis=1
-        )
         sumw2 = np.sum(np.multiply(weight, weight, out=product), axis=1)
         stds = np.sqrt(variances)
-    results: list[MomentSummary | Exception] = []
+    results: list[tuple[float, float, float] | Exception] = []
     # ``tolist`` converts every lane to a Python float in one C pass —
     # exactly ``float(x[p])`` per element, hoisted out of the hot loop.
     # ``totals`` stays an array: the serial Kish formula squares the
@@ -400,22 +260,18 @@ def _weighted_moments_rows(
     means_l = means.tolist()
     stds_l = stds.tolist()
     sums3_l = sums3.tolist()
-    sums4_l = sums4.tolist()
     sumw2_l = sumw2.tolist()
     for p in range(rows):
-        error: FittingError | None = None
         if negative_l[p]:
-            error = FittingError("weights must be non-negative")
-        elif bad_total_l[p]:
-            error = FittingError(
-                "total weight must be positive and finite"
+            results.append(FittingError("weights must be non-negative"))
+            continue
+        if bad_total_l[p]:
+            results.append(
+                FittingError("total weight must be positive and finite")
             )
-        elif variances_l[p] <= 0.0:
-            error = FittingError("weighted variance is zero")
-        if error is not None:
-            if errors == "raise":
-                raise error
-            results.append(error)
+            continue
+        if variances_l[p] <= 0.0:
+            results.append(FittingError("weighted variance is zero"))
             continue
         try:
             # The finishing arithmetic can itself raise — e.g.
@@ -425,21 +281,13 @@ def _weighted_moments_rows(
             if std**4 == 0.0:
                 raise FittingError("weighted standard deviation underflows")
             skew = sums3_l[p] / std**3
-            kurt = sums4_l[p] / std**4 - 3.0
-            effective = int(round(totals[p] ** 2 / sumw2_l[p]))
+            # The Kish count is not returned, but ``int`` of an
+            # infinite or NaN ratio raises, so it is still computed.
+            _ = int(round(totals[p] ** 2 / sumw2_l[p]))
         except Exception as finishing_error:  # noqa: BLE001 — serial parity
-            if errors == "raise":
-                raise
             results.append(finishing_error)
             continue
-        if raw:
-            results.append((means_l[p], std, skew))
-        else:
-            results.append(
-                MomentSummary(
-                    means_l[p], std, skew, kurt, count=effective
-                )
-            )
+        results.append((means_l[p], std, skew))
     return results
 
 

@@ -18,6 +18,7 @@ from repro.circuits.characterize import (
     characterize_arc,
 )
 from repro.errors import CharacterizationError
+from repro.models.lvf import LVFModel
 from repro.models.lvf2 import LVF2Model
 
 
@@ -65,6 +66,24 @@ class TestPlan:
         assert probes[0, 0].shape == (600,)
         # Band keys cover i+j = 0..4.
         assert set(plan.band_scores) == set(range(5))
+
+    def test_indicator_grid_equals_per_point_fits(self, engine, config):
+        plan, probes = plan_adaptive(
+            engine,
+            build_cell("NAND2"),
+            "A",
+            "fall",
+            config,
+            probe_samples=300,
+        )
+        reference = []
+        for index in np.ndindex(probes.shape):
+            samples = probes[index]
+            lvf, lvf2 = LVFModel.fit(samples), LVF2Model.fit(samples)
+            margin = (lvf.bic(samples) - lvf2.bic(samples)) / samples.size
+            reference.append(float(margin).hex())
+            assert multi_gaussian_indicator(samples).hex() == reference[-1]
+        assert [float(v).hex() for v in plan.indicator.ravel()] == reference
 
     def test_band_completion_marks_whole_band(self, engine, config):
         plan, _ = plan_adaptive(

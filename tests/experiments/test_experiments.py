@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import FittingError
 from repro.experiments.clt_convergence import run_clt_convergence
 from repro.experiments.common import (
     PAPER_MODELS,
@@ -14,21 +15,44 @@ from repro.experiments.common import (
 )
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.table1 import PAPER_TABLE1, run_table1
+from repro.models import get_model
 
 
 class TestCommon:
     def test_fit_paper_models_all_present(self, bimodal_samples):
-        models = fit_paper_models(bimodal_samples)
+        (models,) = fit_paper_models(bimodal_samples[None])
         assert set(models) == set(PAPER_MODELS)
 
     def test_lesn_fallback_on_negative_data(self, rng):
         """LESN cannot fit data with negatives; it must fall back."""
         samples = rng.normal(0.0, 1.0, 2000)
-        models = fit_paper_models(samples)
+        (models,) = fit_paper_models(samples[None])
         assert "LESN" in models  # fallback installed, no crash
 
+    def test_lesn_falls_back_on_its_row_only(self, rng):
+        """One non-positive row: LESN takes LVF there, nowhere else."""
+        stack = rng.lognormal(0.0, 0.2, (3, 1500))
+        stack[1, 7] = -0.5
+        rows = fit_paper_models(stack)
+        for index, (row, models) in enumerate(zip(stack, rows)):
+            alone = {
+                name: get_model(name).fit(row) for name in PAPER_MODELS
+                if index != 1 or name != "LESN"
+            }
+            if index == 1:
+                assert models["LESN"] is models["LVF"]
+                alone["LESN"] = alone["LVF"]
+            assert models == alone, f"row {index}"
+
+    def test_failing_lvf_row_raises_first_in_row_order(self, rng):
+        stack = rng.lognormal(0.0, 0.2, (3, 1500))
+        stack[1] = 2.0  # LVF cannot fit a constant row
+        stack[2, 0] = np.nan
+        with pytest.raises(FittingError, match="zero variance"):
+            fit_paper_models(stack)
+
     def test_score_baseline_one(self, bimodal_samples):
-        report = score_paper_models(bimodal_samples)
+        (report,) = score_paper_models(bimodal_samples[None])
         assert report["LVF"]["binning_reduction"] == pytest.approx(1.0)
 
     def test_format_table_alignment(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,15 @@ from repro.circuits.characterize import (
     CharacterizationConfig,
     characterize_arc,
 )
+from repro.experiments.common import fit_paper_models
 from repro.experiments.fig4 import diagonal_contrast, run_fig4
-from repro.experiments.table2 import Table2Config, run_table2
+from repro.experiments.table2 import (
+    Table2Config,
+    Table2Row,
+    _arc_list,
+    _score_condition,
+    run_table2,
+)
 from repro.models import LVF2Model, LVFModel
 from repro.stats.empirical import EmpiricalDistribution
 
@@ -126,3 +135,83 @@ class TestFig4Batched:
             assert [float(v).hex() for v in grid.ravel()] == [
                 float(v).hex() for v in reference[quantity].ravel()
             ]
+
+
+def per_point_table2(engine, config):
+    """Table 2 rows from one ``fit_paper_models`` call per condition."""
+    char_config = CharacterizationConfig(
+        slews=config.slews,
+        loads=config.loads,
+        n_samples=config.n_samples,
+        seed=config.seed,
+    )
+    rows = {}
+    for cell_type in config.cell_types:
+        row = Table2Row(cell_type=cell_type)
+        for drive in config.drives:
+            cell = build_cell(cell_type, drive)
+            for pin, transition in _arc_list(
+                cell, config.max_arcs_per_cell
+            ):
+                characterization = characterize_arc(
+                    engine, cell, pin, transition, char_config
+                )
+                for quantity in ("delay", "transition"):
+                    for i, j in np.ndindex(*char_config.grid_shape):
+                        data = characterization.samples(quantity, i, j)
+                        (models,) = fit_paper_models(data[None])
+                        _score_condition(row, quantity, data, models)
+        rows[cell_type] = row
+    return rows
+
+
+def hex_reductions(row):
+    return {
+        metric: {
+            model: [float(v).hex() for v in values]
+            for model, values in models.items()
+        }
+        for metric, models in row.reductions.items()
+    }
+
+
+#: The Table 2 configuration ``repro bench`` tests shrink to: too few
+#: samples for any condition to resolve the 3-sigma tail.
+TINY = Table2Config(
+    cell_types=("INV",),
+    drives=(1.0,),
+    n_samples=64,
+    slews=(0.01, 0.05),
+    loads=(0.01, 0.1),
+    max_arcs_per_cell=1,
+    seed=7,
+)
+
+
+class TestTable2Batched:
+    def test_rows_equal_per_point_fits(self, engine):
+        config = Table2Config(
+            cell_types=("INV", "NAND2"),
+            drives=(1.0,),
+            n_samples=96,
+            slews=(0.008, 0.05),
+            loads=(0.007, 0.1),
+            max_arcs_per_cell=2,
+            seed=11,
+        )
+        result = run_table2(config, engine=engine)
+        reference = per_point_table2(engine, config)
+        assert set(result.rows) == set(reference)
+        for name, row in result.rows.items():
+            assert hex_reductions(row) == hex_reductions(
+                reference[name]
+            ), name
+
+    def test_unscored_cells_are_nan_without_warnings(self, engine):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_table2(TINY, engine=engine)
+            headline = result.headline()
+            result.to_text()
+        values = [v for models in headline.values() for v in models.values()]
+        assert any(np.isnan(v) for v in values)

@@ -1,9 +1,10 @@
-"""``TimingModel.fit_batch``: one fitted model per stacked row.
+"""``TimingModel.fit_batch``: one outcome per stacked row.
 
 Every row of a batched fit must equal fitting that row alone with
-``fit`` — exactly, not approximately — and the first row that cannot
-be fitted must raise the error its per-row fit raises.  Models compare
-with ``==`` (frozen dataclasses of floats, so exact equality).
+``fit`` — exactly, not approximately — and a row that cannot be
+fitted must hold the error its per-row fit raises, so ``raise_first``
+raises the first such row's error.  Models compare with ``==``
+(frozen dataclasses of floats, so exact equality).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import FittingError
+from repro.errors import FittingError, raise_first
 from repro.models.lesn import LESNModel
 from repro.models.lvf import LVFModel
 from repro.models.lvf2 import LVF2Model
@@ -68,12 +69,23 @@ class TestNorm2FitBatch:
         bad[3, :290] = np.nan
         serial = fit_error(Norm2Model, bad[1])
         with pytest.raises(type(serial)) as info:
-            Norm2Model.fit_batch(bad)
+            raise_first(Norm2Model.fit_batch(bad))
         assert str(info.value) == str(serial)
 
     def test_fit_rejects_stacked_samples(self, stack):
         with pytest.raises(FittingError, match="Norm2Model.fit_batch"):
             Norm2Model.fit(stack)
+
+    def test_captures_each_rows_error(self, stack):
+        bad = with_bad_row(stack, 1, 1.5)
+        batched = Norm2Model.fit_batch(bad)
+        serial = fit_error(Norm2Model, bad[1])
+        assert type(batched[1]) is type(serial)
+        assert str(batched[1]) == str(serial)
+        others = [0, 2, 3, 4]
+        assert [batched[i] for i in others] == [
+            Norm2Model.fit(bad[i]) for i in others
+        ]
 
 
 class TestDefaultFitBatch:
@@ -99,8 +111,21 @@ class TestDefaultFitBatch:
         bad[4, 0] = -1.0
         serial = fit_error(LESNModel, bad[1])
         with pytest.raises(type(serial)) as info:
-            LESNModel.fit_batch(bad)
+            raise_first(LESNModel.fit_batch(bad))
         assert str(info.value) == str(serial)
+
+    def test_captures_each_rows_error(self, stack):
+        bad = stack.copy()
+        bad[1, 0] = 0.0
+        bad[4, 0] = -1.0
+        batched = LESNModel.fit_batch(bad)
+        for index, (row, outcome) in enumerate(zip(bad, batched)):
+            if index in (1, 4):
+                serial = fit_error(LESNModel, row)
+                assert type(outcome) is type(serial)
+                assert str(outcome) == str(serial)
+            else:
+                assert outcome == LESNModel.fit(row), f"row {index}"
 
     def test_rejects_one_dimensional_samples(self, stack):
         with pytest.raises(FittingError, match="2-D"):

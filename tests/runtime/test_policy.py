@@ -86,7 +86,7 @@ class TestDegenerateInputs:
             policy.fit(np.array([]))
 
     def test_degenerate_rung_disabled_raises(self):
-        policy = FitPolicy(allow_degenerate=False)
+        policy = FitPolicy(rungs=DEFAULT_RUNGS[:-1])
         with pytest.raises(FittingError) as excinfo:
             policy.fit(np.full(500, 3.0))
         # The terminal error narrates the full ladder walk.

@@ -169,6 +169,14 @@ class TestMultiStart:
                 extra_initials=[None, None],
             )
 
+    def test_rejects_splits_length_mismatch(self, bimodal_samples):
+        with pytest.raises(FittingError, match="splits length 2"):
+            fit_mixture_em_multistart(
+                bimodal_samples[None],
+                SKEW_NORMAL_FAMILY,
+                splits=[None, None],
+            )
+
 
 class TestDegenerateInputs:
     """Degenerate data must fail as FittingError, never ValueError or
@@ -200,10 +208,10 @@ class TestDegenerateInputs:
             fit_mixture_em(np.array([]), GAUSSIAN_FAMILY, 2)
 
     def test_multi_start_degenerates_identically(self):
-        with pytest.raises(FittingError):
-            fit_mixture_em_multistart(
-                np.full((1, 500), 2.0), SKEW_NORMAL_FAMILY, 2
-            )
+        (outcome,) = fit_mixture_em_multistart(
+            np.full((1, 500), 2.0), SKEW_NORMAL_FAMILY, 2
+        )
+        assert isinstance(outcome, FittingError)
 
     def test_underflowing_component_spread_keeps_previous_estimate(self):
         # A narrow component sits on one sample; a neighbour 3.2e-4

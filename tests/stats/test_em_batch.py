@@ -26,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceWarningError, FittingError
+from repro.errors import ConvergenceWarningError, FittingError, raise_first
 from repro.models.gaussian import GaussianModel
 from repro.models.lvf2 import LVF2Model, SKEW_NORMAL_FAMILY
 from repro.models.lvfk import LVF3Model, LVF4Model, LVFkModel
@@ -116,7 +116,6 @@ def assert_batch_matches_serial(
         n_components,
         config=config,
         initials=initials,
-        errors="capture",
     )
     assert len(batched) == len(serial)
     for index, (a, b) in enumerate(zip(serial, batched)):
@@ -208,7 +207,7 @@ class TestDegenerateRows:
             r for r in serial if isinstance(r, Exception)
         )
         with pytest.raises(type(first_error)) as excinfo:
-            fit_mixture_em_batch(stack, SKEW_NORMAL_FAMILY)
+            raise_first(fit_mixture_em_batch(stack, SKEW_NORMAL_FAMILY))
         assert str(excinfo.value) == str(first_error)
 
     def test_underflowing_component_spread_matches_serial(self):
@@ -319,13 +318,6 @@ class TestValidation:
                 stack, SKEW_NORMAL_FAMILY, initials=[None, None]
             )
 
-    def test_rejects_unknown_errors_mode(self):
-        stack = np.random.default_rng(2).normal(0, 1, (2, 40))
-        with pytest.raises(ValueError, match="errors mode"):
-            fit_mixture_em_batch(
-                stack, SKEW_NORMAL_FAMILY, errors="ignore"
-            )
-
 
 class TestKMeansBatch:
     @pytest.mark.parametrize("case", range(6))
@@ -350,12 +342,11 @@ class TestKMeansBatch:
         stack = np.stack(
             [np.full(20, 3.0), np.linspace(0.0, 1.0, 20)]
         )
-        results = kmeans_1d_batch(stack, 2, errors="capture")
+        results = kmeans_1d_batch(stack, 2)
         assert isinstance(results[0], FittingError)
+        assert "distinct" in str(results[0])
         serial = reference.kmeans_1d(stack[1], 2)
         assert results[1].centers.tolist() == serial.centers.tolist()
-        with pytest.raises(FittingError, match="distinct"):
-            kmeans_1d_batch(stack, 2)
 
 
 def canon_model(model) -> str:
@@ -386,7 +377,7 @@ class TestLVF2FitBatch:
         rng = np.random.default_rng(91)
         stack = bimodal_stack(rng, 3, 64)
         stack[1] = 2.5  # constant row
-        batched = LVF2Model.fit_batch(stack, errors="capture")
+        batched = LVF2Model.fit_batch(stack)
         assert isinstance(batched[1], Exception)
         with pytest.raises(type(batched[1])) as excinfo:
             reference.lvf2_fit(stack[1])
@@ -404,7 +395,7 @@ class TestLVF2FitBatch:
         stack[2] = 2.5
         session = TelemetrySession()
         with telemetry.activate(session):
-            batched = LVF2Model.fit_batch(stack, errors="capture")
+            batched = LVF2Model.fit_batch(stack)
         for index, outcome in enumerate(batched):
             try:
                 serial = canon_model(reference.lvf2_fit(stack[index]))
@@ -479,7 +470,7 @@ class TestMultiStartMatchesReference:
         )
         extras = [None, extra, extra, None]
         batched = fit_mixture_em_multistart(
-            stack, GAUSSIAN_FAMILY, extra_initials=extras, errors="capture"
+            stack, GAUSSIAN_FAMILY, extra_initials=extras
         )
         for index, row in enumerate(stack):
             try:
@@ -598,8 +589,7 @@ class TestMultiBlock:
         batch_session = TelemetrySession()
         with telemetry.activate(batch_session):
             batched = fit_mixture_em_batch(
-                stack, family, config=config, initials=initials,
-                errors="capture",
+                stack, family, config=config, initials=initials
             )
         for index, (a, b) in enumerate(zip(serial, batched)):
             assert canon_result(a) == canon_result(b), f"row {index}"
@@ -654,7 +644,5 @@ class TestMultiBlock:
         ]
         first_error = next(r for r in serial if isinstance(r, Exception))
         with pytest.raises(ConvergenceWarningError) as excinfo:
-            fit_mixture_em_batch(
-                stack, SKEW_NORMAL_FAMILY, config=config, initials=initials
-            )
+            raise_first(batched)
         assert str(excinfo.value) == str(first_error)

@@ -43,7 +43,7 @@ def _fanned_out(stack, family, n_components=2, **kwargs):
     session = TelemetrySession()
     with telemetry.activate(session):
         results = fit_mixture_em_batch(
-            stack, family, n_components, errors="capture", **kwargs
+            stack, family, n_components, **kwargs
         )
     counters = session.metrics.snapshot()["counters"]
     return results, counters.get("fanout.helper_blocks", 0)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FittingError
+from repro.errors import FittingError, raise_first
 from repro.stats.kmeans import kmeans_1d_batch, kmeans_nd, split_by_labels
 
 
 def kmeans_row(samples, n_clusters=2, **kwargs):
     """Cluster one sample set as a batch of one."""
     stack = np.asarray(samples, dtype=float)[None]
-    (result,) = kmeans_1d_batch(stack, n_clusters, **kwargs)
+    (result,) = raise_first(kmeans_1d_batch(stack, n_clusters, **kwargs))
     return result
 
 

@@ -1,12 +1,13 @@
-"""Property-based exactness tests for the batched moment kernels.
+"""Property-based exactness tests for the EM M-step moment kernel.
 
-Hypothesis drives ``sample_moments_batch`` / ``weighted_moments_batch``
-/ ``validate_samples_batch`` across adversarial shapes and value ranges
-and asserts *exact float equality* against the serial per-row loop —
-``float.hex`` comparison, never ``approx``.  The kernels' contract is
-that stacking may not perturb a single ulp, and that every error the
-serial loop raises surfaces identically (same type, same message, same
-row order) from the batch.
+Hypothesis drives ``_weighted_moments_rows`` — the row-wise weighted
+moments every lockstep EM iteration runs — across adversarial shapes
+and value ranges and asserts *exact float equality* against the
+serial per-row ``weighted_moments`` — ``float.hex`` comparison, never
+``approx``.  The kernel's contract is that stacking may not perturb a
+single ulp, and that every error the serial loop raises surfaces
+identically (same type, same message, same row) in the kernel's
+per-row outcomes.
 """
 
 from __future__ import annotations
@@ -16,15 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FittingError
-from repro.stats.moments import (
-    sample_moments,
-    sample_moments_batch,
-    validate_samples,
-    validate_samples_batch,
-    weighted_moments,
-    weighted_moments_batch,
-)
+from repro.errors import FittingError, raise_first
+from repro.stats.moments import _weighted_moments_rows, weighted_moments
 
 # Finite, non-degenerate magnitudes: the exactness contract is about
 # summation order, not about saturating float range.
@@ -57,31 +51,21 @@ def weighted_stacks(draw):
     return stack, weights
 
 
-def hex_tuple(summary):
-    return tuple(float(v).hex() for v in summary.as_tuple()) + (
-        summary.count,
-    )
+def hex_triple(values):
+    return tuple(float(v).hex() for v in values)
 
 
-class TestSampleMomentsBatch:
-    @given(sample_stacks())
-    @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_serial(self, stack):
+def serial_outcomes(stack, weights):
+    """The reference: ``weighted_moments`` per row, errors kept."""
+    outcomes = []
+    for row, wrow in zip(stack, weights):
         try:
-            serial = [sample_moments(row) for row in stack]
+            summary = weighted_moments(row, wrow)
         except FittingError as error:
-            with pytest.raises(FittingError, match=str(error)):
-                sample_moments_batch(stack)
-            return
-        batched = sample_moments_batch(stack)
-        assert [hex_tuple(s) for s in serial] == [
-            hex_tuple(b) for b in batched
-        ]
-
-    def test_zero_variance_row_raises_serial_message(self):
-        stack = np.stack([np.arange(8.0), np.full(8, 2.0)])
-        with pytest.raises(FittingError, match="zero variance"):
-            sample_moments_batch(stack)
+            outcomes.append(error)
+            continue
+        outcomes.append((summary.mean, summary.std, summary.skewness))
+    return outcomes
 
 
 class TestWeightedMomentsBatch:
@@ -89,61 +73,35 @@ class TestWeightedMomentsBatch:
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_serial_including_errors(self, case):
         stack, weights = case
-        batched = weighted_moments_batch(
-            stack, weights, errors="capture"
-        )
-        for row, wrow, b in zip(stack, weights, batched):
-            try:
-                s = weighted_moments(row, wrow)
-            except FittingError as error:
+        batched = _weighted_moments_rows(stack, weights)
+        for s, b in zip(serial_outcomes(stack, weights), batched):
+            if isinstance(s, FittingError):
                 assert isinstance(b, FittingError)
-                assert str(b) == str(error)
+                assert str(b) == str(s)
                 continue
             assert not isinstance(b, Exception)
-            assert hex_tuple(s) == hex_tuple(b)
-
-    @given(weighted_stacks())
-    @settings(max_examples=30, deadline=None)
-    def test_raw_mode_matches_summary_mode(self, case):
-        stack, weights = case
-        full = weighted_moments_batch(stack, weights, errors="capture")
-        raw = weighted_moments_batch(
-            stack, weights, errors="capture", raw=True
-        )
-        assert len(full) == len(raw)
-        for f, r in zip(full, raw):
-            if isinstance(f, Exception):
-                assert isinstance(r, Exception)
-                assert type(r) is type(f) and str(r) == str(f)
-                continue
-            assert isinstance(r, tuple)
-            assert [x.hex() for x in r] == [
-                float(v).hex() for v in (f.mean, f.std, f.skewness)
-            ]
+            assert hex_triple(s) == hex_triple(b)
 
     @given(weighted_stacks())
     @settings(max_examples=30, deadline=None)
     def test_raise_mode_raises_first_row_error(self, case):
+        # ``raise_first`` over the kernel's outcomes stops where the
+        # serial loop stops, with the same error.
         stack, weights = case
-        captured = weighted_moments_batch(
-            stack, weights, errors="capture"
-        )
-        first = next(
-            (c for c in captured if isinstance(c, Exception)), None
-        )
+        serial = serial_outcomes(stack, weights)
+        first = next((s for s in serial if isinstance(s, Exception)), None)
+        outcomes = _weighted_moments_rows(stack, weights)
         if first is None:
-            weighted_moments_batch(stack, weights)  # must not raise
+            raise_first(outcomes)  # must not raise
             return
         with pytest.raises(type(first), match=str(first)):
-            weighted_moments_batch(stack, weights)
+            raise_first(outcomes)
 
     def test_negative_weight_error_parity(self):
         stack = np.random.default_rng(5).normal(0, 1, (2, 16))
         weights = np.ones_like(stack)
         weights[1, 3] = -0.5
-        results = weighted_moments_batch(
-            stack, weights, errors="capture"
-        )
+        results = _weighted_moments_rows(stack, weights)
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], FittingError)
         assert "non-negative" in str(results[1])
@@ -154,57 +112,14 @@ class TestWeightedMomentsBatch:
         base = np.arange(8.0)
         stack = np.stack([base, 1e-82 * base, 1e-110 * base, base + 1.0])
         weights = np.ones_like(stack)
-        batched = weighted_moments_batch(stack, weights, errors="capture")
-        for row, wrow, b in zip(stack, weights, batched):
-            try:
-                s = weighted_moments(row, wrow)
-            except FittingError as error:
+        batched = _weighted_moments_rows(stack, weights)
+        for s, b in zip(serial_outcomes(stack, weights), batched):
+            if isinstance(s, FittingError):
                 assert isinstance(b, FittingError)
-                assert str(b) == str(error)
+                assert str(b) == str(s)
                 assert "underflows" in str(b)
                 continue
-            assert hex_tuple(s) == hex_tuple(b)
+            assert hex_triple(s) == hex_triple(b)
         assert [isinstance(b, FittingError) for b in batched] == [
             False, True, True, False
         ]
-        with pytest.raises(FittingError, match="underflows"):
-            weighted_moments_batch(stack, weights)
-
-    def test_shape_mismatch_and_ndim_errors(self):
-        stack = np.zeros((2, 8))
-        with pytest.raises(FittingError, match="shape mismatch"):
-            weighted_moments_batch(stack, np.ones((2, 9)))
-        with pytest.raises(FittingError, match="ndim=1"):
-            weighted_moments_batch(np.zeros(8), np.ones(8))
-        with pytest.raises(ValueError, match="errors mode"):
-            weighted_moments_batch(
-                stack, np.ones_like(stack), errors="bogus"
-            )
-
-
-class TestValidateSamplesBatch:
-    @given(sample_stacks())
-    @settings(max_examples=40, deadline=None)
-    def test_accepts_what_serial_accepts(self, stack):
-        out = validate_samples_batch(stack)
-        assert out.flags["C_CONTIGUOUS"]
-        for row, out_row in zip(stack, out):
-            serial = validate_samples(row)
-            assert serial.tolist() == out_row.tolist()
-
-    def test_error_messages_match_serial(self):
-        with pytest.raises(FittingError, match="ndim=1"):
-            validate_samples_batch(np.zeros(4))
-        with pytest.raises(
-            FittingError, match="need at least 2 samples, got 1"
-        ):
-            validate_samples_batch(np.zeros((3, 1)))
-        stack = np.zeros((2, 4))
-        stack[1, 2] = np.nan
-        try:
-            validate_samples(stack[1])
-        except FittingError as serial_error:
-            with pytest.raises(
-                FittingError, match=str(serial_error)
-            ):
-                validate_samples_batch(stack)

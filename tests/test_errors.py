@@ -15,6 +15,7 @@ from repro.errors import (
     ParameterError,
     ReproError,
     SSTAError,
+    raise_first,
 )
 
 
@@ -66,3 +67,15 @@ class TestCatchability:
             fit_model("LVF", np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ReproError):
             fit_model("NoSuchModel", np.array([1.0, 2.0, 3.0]))
+
+
+class TestRaiseFirst:
+    def test_returns_outcomes_without_errors(self):
+        assert raise_first(iter([1, 2, 3])) == [1, 2, 3]
+
+    def test_raises_first_error_in_row_order(self):
+        first, second = FittingError("row 1"), ValueError("row 3")
+        with pytest.raises(FittingError, match="row 1"):
+            raise_first([0, first, 2, second])
+        with pytest.raises(ValueError, match="row 3"):
+            raise_first([0, 1, 2, second, first])
