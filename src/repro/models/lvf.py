@@ -14,130 +14,40 @@ of the error sources LVF2 removes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ParameterError
 from repro.models.base import TimingModel, register_model
 from repro.stats.moments import (
     MomentSummary,
     sample_moments,
     weighted_moments,
 )
-from repro.stats.skew_normal import (
-    _B,
-    _HALF_GAP,
-    DEFAULT_SKEW_MARGIN,
-    MAX_SKEWNESS,
-    SkewNormal,
-)
+from repro.stats.skew_normal import SkewNormal
 
 __all__ = ["LVFModel"]
 
 
-class _SNLane:
-    """A moment triple with its skew-normal direct parameters.
+def _lvf_from_direct(
+    mean: float, std: float, sn: SkewNormal
+) -> "LVFModel":
+    """The ``LVFModel(mean, std, skew)`` whose moment inversion is ``sn``.
 
-    The batched EM M-step builds one per component per iteration per
-    grid point, and the lockstep E-step only reads ``(xi, omega,
-    alpha)``; building a full ``LVFModel`` (two frozen dataclasses
-    plus the stored-skewness round trip) for each of them is the
-    single hottest scalar cost of the batched fit.  :func:`_lvf_from_lane`
-    turns a lane into its model once the row converges.
+    The EM M-step inverts each lane's moment triple in array form and
+    keeps the direct parameters.  Rebuilding the model from them,
+    rather than re-inverting its stored (round-tripped) skewness,
+    keeps ``xi`` exact to the ulp.  The fields are the ones
+    ``__post_init__`` sets.
     """
-
-    __slots__ = ("mean", "std", "xi", "omega", "alpha")
-
-
-def _sn_lane(mean: float, std: float, skew: float) -> _SNLane:
-    """Invert ``(mean, std, skew)`` to skew-normal parameters, inlined.
-
-    Runs the *same scalar expressions in the same order* as
-    :func:`~repro.stats.skew_normal.moments_to_params` (the reference)
-    and the ``SkewNormal.__post_init__`` checks, without their call
-    layers, and raises the same :class:`ParameterError` on the same
-    inputs.
-    """
-    if not (std > 0.0 and math.isfinite(std)):
-        raise ParameterError(
-            f"std must be positive and finite, got {std}"
-        )
-    bound = MAX_SKEWNESS - DEFAULT_SKEW_MARGIN
-    if skew > bound:
-        gamma = float(bound)
-    elif skew < -bound:
-        gamma = float(-bound)
-    else:
-        gamma = float(skew)
-    magnitude = abs(gamma)
-    if magnitude < 1e-14:
-        xi, omega, alpha = float(mean), float(std), 0.0
-    else:
-        ratio = magnitude ** (2.0 / 3.0)
-        abs_delta = math.sqrt(
-            (math.pi / 2.0) * ratio / (ratio + _HALF_GAP)
-        )
-        delta = math.copysign(min(abs_delta, 1.0 - 1e-12), gamma)
-        if not -1.0 < delta < 1.0:
-            raise ParameterError(
-                f"delta must lie in (-1, 1), got {delta}"
-            )
-        alpha = delta / math.sqrt(1.0 - delta * delta)
-        omega = std / math.sqrt(1.0 - (_B * delta) ** 2)
-        xi = mean - omega * delta * _B
-        xi, omega, alpha = float(xi), float(omega), float(alpha)
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ParameterError(
-            f"omega must be positive and finite, got {omega}"
-        )
-    if not (math.isfinite(xi) and math.isfinite(alpha)):
-        raise ParameterError("xi and alpha must be finite")
-    lane = _SNLane()
-    lane.mean = mean
-    lane.std = std
-    lane.xi = xi
-    lane.omega = omega
-    lane.alpha = alpha
-    return lane
-
-
-def _lvf_from_lane(lane: _SNLane) -> "LVFModel":
-    """Build the ``LVFModel`` of a lane without dispatch overhead.
-
-    Computes the stored skewness with the ``params_to_moments`` gamma
-    expression and fills the frozen dataclasses directly, so the model
-    is bit-identical, field for field, to
-    ``LVFModel(lane.mean, lane.std, skew)``.
-    """
-    delta_back = lane.alpha / math.sqrt(1.0 + lane.alpha * lane.alpha)
-    centered = delta_back * _B
-    stored_gamma = float(
-        0.5
-        * (4.0 - math.pi)
-        * centered**3
-        / (1.0 - centered**2) ** 1.5
-    )
-    sn = SkewNormal.__new__(SkewNormal)
-    object.__setattr__(sn, "xi", lane.xi)
-    object.__setattr__(sn, "omega", lane.omega)
-    object.__setattr__(sn, "alpha", lane.alpha)
     model = LVFModel.__new__(LVFModel)
-    object.__setattr__(model, "mu", lane.mean)
-    object.__setattr__(model, "sigma", lane.std)
-    object.__setattr__(model, "gamma", stored_gamma)
+    object.__setattr__(model, "mu", mean)
+    object.__setattr__(model, "sigma", std)
+    object.__setattr__(model, "gamma", sn.skewness)
     object.__setattr__(model, "nominal", None)
     object.__setattr__(model, "_sn", sn)
     return model
-
-
-def _lvf_from_moments_fast(
-    mean: float, std: float, skew: float
-) -> "LVFModel":
-    """``LVFModel(mean, std, skew)``, bit-identical, for the hot paths."""
-    return _lvf_from_lane(_sn_lane(mean, std, skew))
 
 
 @register_model
@@ -175,10 +85,6 @@ class LVFModel(TimingModel):
     def fit(cls, samples: np.ndarray, **kwargs: Any) -> "LVFModel":
         """Moment-match a skew-normal to the samples."""
         summary = sample_moments(samples)
-        if cls is LVFModel:
-            return _lvf_from_moments_fast(
-                summary.mean, summary.std, summary.skewness
-            )
         return cls(summary.mean, summary.std, summary.skewness)
 
     @classmethod
@@ -187,10 +93,6 @@ class LVFModel(TimingModel):
     ) -> "LVFModel":
         """Weighted moment fit — the LVF2 EM M-step for one component."""
         summary = weighted_moments(samples, weights)
-        if cls is LVFModel:
-            return _lvf_from_moments_fast(
-                summary.mean, summary.std, summary.skewness
-            )
         return cls(summary.mean, summary.std, summary.skewness)
 
     @classmethod

@@ -18,6 +18,7 @@ attributes for it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,12 +28,7 @@ from scipy.special import expit, logit
 
 from repro.errors import FittingError, ParameterError, raise_first
 from repro.models.base import TimingModel, _from_mixture, register_model
-from repro.models.lvf import (
-    LVFModel,
-    _lvf_from_lane,
-    _sn_lane,
-    _SNLane,
-)
+from repro.models.lvf import LVFModel, _lvf_from_direct
 from repro.stats.em import (
     ComponentFamily,
     EMConfig,
@@ -44,68 +40,68 @@ from repro.stats.em import (
 )
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary, _weighted_moments_rows
-from repro.stats.skew_normal import SkewNormal
+from repro.stats.skew_normal import SkewNormal, _moments_to_params_rows
 from repro.stats.workspace import Workspace
 
 __all__ = ["LVF2Model", "SKEW_NORMAL_FAMILY"]
 
 
-def _sn_realize(component: Any) -> Any:
-    """Turn an :class:`_SNLane` into the serial-identical model."""
-    if type(component) is _SNLane:
-        return _lvf_from_lane(component)
-    return component
+def _sn_params(component: Any) -> tuple[float, ...]:
+    """A skew-normal component's lane: ``(mean, std, xi, omega, alpha)``.
+
+    An :class:`LVFModel` gives its fitted ``(mu, sigma)`` and its
+    distribution's direct parameters, never a re-inversion of its
+    stored (round-tripped) skewness, which can move ``xi`` by an ulp.
+    A bare :class:`SkewNormal` (a legal warm-start component) gives
+    its analytic mean and std.
+    """
+    if isinstance(component, LVFModel):
+        mean, std, sn = component.mu, component.sigma, component.skew_normal
+    else:
+        (mean, std, _), sn = component.moments_tuple(), component
+    return (mean, std, sn.xi, sn.omega, sn.alpha)
+
+
+def _sn_build(lane: Sequence[float]) -> LVFModel:
+    """The :class:`LVFModel` of a ``(mean, std, xi, omega, alpha)`` lane."""
+    mean, std, xi, omega, alpha = lane
+    return _lvf_from_direct(mean, std, SkewNormal(xi, omega, alpha))
 
 
 def _sn_logpdf_batch(
-    components: "list[LVFModel | _SNLane]",
+    params: np.ndarray,
     data: np.ndarray,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Row-wise skew-normal log-density over a stacked batch.
 
-    Mirrors :meth:`repro.stats.skew_normal.SkewNormal.logpdf` term for
-    term: the per-component scalar constant uses the same
-    ``math.log(2.0 / omega)`` call, and the in-place steps keep the
-    serial association order ``(const + log_phi) + log_ndtr``, so every
-    lane is bit-identical to the serial method.  Components may be
-    models (warm starts, kept-previous estimates) or :class:`_SNLane`
-    stand-ins from the batched M-step, interchangeably.  The result
-    and its temporaries live in ``workspace`` when one is given.
+    ``params`` holds one :func:`_sn_params` lane per row of ``data``.
+    Follows :meth:`repro.stats.skew_normal.SkewNormal.logpdf` term for
+    term: the per-row constant is the serial ``math.log(2.0 / omega)``
+    call, and the in-place steps keep the serial association order
+    ``(const + log_phi) + log_ndtr``, so every row is bit-identical to
+    the serial method.  The result and its temporaries live in
+    ``workspace`` when one is given.
     """
     from scipy.special import log_ndtr
 
-    params: list[tuple[float, float, float]] = []
-    for component in components:
-        if type(component) is _SNLane:
-            params.append(
-                (component.xi, component.omega, component.alpha)
-            )
-        else:
-            # LVFModel wraps its distribution; a bare SkewNormal (a
-            # legal serial warm-start component) carries the direct
-            # parameters itself.
-            sn = getattr(component, "skew_normal", component)
-            params.append((sn.xi, sn.omega, sn.alpha))
-    xis = np.array([p[0] for p in params], dtype=float)
-    omegas = np.array([p[1] for p in params], dtype=float)
-    alphas = np.array([p[2] for p in params], dtype=float)
-    consts = np.array(
-        [math.log(2.0 / p[1]) for p in params], dtype=float
-    )
+    xis = params[:, 2, None]
+    omegas = params[:, 3, None]
+    alphas = params[:, 4, None]
+    consts = np.array([math.log(2.0 / o) for o in params[:, 3].tolist()])
     rows = data.shape[0]
     scratch = workspace or Workspace(rows, data.shape[1])
     z = scratch.take("logpdf.z", rows)
     tail = scratch.take("logpdf.tail", rows)
     out = scratch.take("logpdf.out", rows)
-    np.subtract(data, xis[:, None], out=z)
-    np.divide(z, omegas[:, None], out=z)
+    np.subtract(data, xis, out=z)
+    np.divide(z, omegas, out=z)
     # log_phi = -0.5 * z * z - 0.5 * log(2 pi)
     np.multiply(-0.5, z, out=out)
     np.multiply(out, z, out=out)
     np.subtract(out, 0.5 * math.log(2.0 * math.pi), out=out)
     np.add(consts[:, None], out, out=out)
-    log_ndtr(np.multiply(alphas[:, None], z, out=tail), out=tail)
+    log_ndtr(np.multiply(alphas, z, out=tail), out=tail)
     return np.add(out, tail, out=out)
 
 
@@ -113,24 +109,18 @@ def _sn_fit_weighted_batch(
     data: np.ndarray,
     weights: np.ndarray,
     workspace: Workspace | None = None,
-) -> "list[_SNLane | Exception]":
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :meth:`LVFModel.fit_weighted` over a batch.
 
-    Returns :class:`_SNLane` stand-ins (realized by
-    :func:`_sn_realize` on convergence); the scalar expressions and
-    error behaviour per row match the serial ``fit_weighted`` exactly.
-    ``data`` and ``weights`` are C-contiguous stacks of equal shape.
+    Returns the ``(rows, 5)`` :func:`_sn_params` lanes and the rows
+    that need the scalar path: those the weighted-moment kernel or the
+    array moment inversion flags.
     """
-    results: "list[_SNLane | Exception]" = []
-    for summary in _weighted_moments_rows(data, weights, workspace):
-        if isinstance(summary, Exception):
-            results.append(summary)
-            continue
-        try:
-            results.append(_sn_lane(*summary))
-        except Exception as error:  # noqa: BLE001 — mirrors serial raise
-            results.append(error)
-    return results
+    means, stds, skews, scalar = _weighted_moments_rows(
+        data, weights, workspace
+    )
+    xi, omega, alpha, bad = _moments_to_params_rows(means, stds, skews)
+    return np.array([means, stds, xi, omega, alpha]).T, scalar | bad
 
 
 #: Component family wiring LVFModel (skew-normal) into the EM driver.
@@ -138,9 +128,10 @@ SKEW_NORMAL_FAMILY = ComponentFamily(
     name="skew-normal",
     fit=LVFModel.fit,
     fit_weighted=LVFModel.fit_weighted,
+    params=_sn_params,
+    build=_sn_build,
     logpdf_batch=_sn_logpdf_batch,
     fit_weighted_batch=_sn_fit_weighted_batch,
-    realize=_sn_realize,
 )
 
 
@@ -236,9 +227,13 @@ class LVF2Model(TimingModel):
         recast as zero-skew components; then
         :func:`~repro.stats.em.fit_mixture_em_multistart` over the
         k-means start, the concentric start and that Norm2 warm start.
-        Skew-normal mixtures strictly generalise Gaussian ones, so
-        starting on Norm2's basin guarantees LVF2 never loses to it in
-        likelihood.  A Norm2 fit that raises :class:`FittingError` or
+        Skew-normal mixtures generalise Gaussian ones, so the warm start
+        puts one LVF2 start in the basin of a two-Gaussian fit.  It does
+        not make LVF2 at least as likely as Norm2: the warm start is the
+        Gaussian fit from the k-means split, not Norm2's best start, and
+        the moment M-step is not an ascent step, so LVF2 can end below
+        Norm2 (the Table 1 Multi-Peaks scenario and a few Fig. 4 delay
+        points do).  A Norm2 fit that raises :class:`FittingError` or
         collapses means "no warm start"; any other error fails the row.
         Both k-means starts are one split per row, computed once: the
         split depends only on the row, ``kmeans_restarts`` and

@@ -31,30 +31,39 @@ from repro.stats.workspace import Workspace
 __all__ = ["Norm2Model", "GAUSSIAN_FAMILY"]
 
 
+def _gaussian_params(component: GaussianModel) -> tuple[float, float]:
+    """A Gaussian component's lane: ``(mu, sigma)``."""
+    return (component.mu, component.sigma)
+
+
+def _gaussian_build(lane: Sequence[float]) -> GaussianModel:
+    """The :class:`GaussianModel` of a ``(mu, sigma)`` lane."""
+    mu, sigma = lane
+    return GaussianModel(mu, sigma)
+
+
 def _gaussian_logpdf_batch(
-    components: Sequence[GaussianModel],
+    params: np.ndarray,
     data: np.ndarray,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Row-wise :meth:`GaussianModel.logpdf` over a stacked batch.
 
-    The per-component scalar constants (``math.log(sigma)``) are
-    computed with the same ``math`` calls as the serial method; the
-    in-place steps mirror its term order, so every lane is
-    bit-identical to the serial log-density.  The result and its
-    temporaries live in ``workspace`` when one is given.
+    ``params`` holds one ``(mu, sigma)`` lane per row of ``data``.
+    The per-row constant ``math.log(sigma)`` is the serial method's
+    ``math`` call; the in-place steps follow its term order, so every
+    row is bit-identical to the serial log-density.  The result and
+    its temporaries live in ``workspace`` when one is given.
     """
-    mus = np.array([c.mu for c in components], dtype=float)
-    sigmas = np.array([c.sigma for c in components], dtype=float)
-    log_sigmas = np.array(
-        [math.log(c.sigma) for c in components], dtype=float
-    )
+    mus = params[:, 0, None]
+    sigmas = params[:, 1, None]
+    log_sigmas = np.array([math.log(s) for s in params[:, 1].tolist()])
     rows = data.shape[0]
     scratch = workspace or Workspace(rows, data.shape[1])
     z = scratch.take("logpdf.z", rows)
     out = scratch.take("logpdf.out", rows)
-    np.subtract(data, mus[:, None], out=z)
-    np.divide(z, sigmas[:, None], out=z)
+    np.subtract(data, mus, out=z)
+    np.divide(z, sigmas, out=z)
     # -0.5 * z * z - log(sigma) - 0.5 * log(2 pi)
     np.multiply(-0.5, z, out=out)
     np.multiply(out, z, out=out)
@@ -66,22 +75,14 @@ def _gaussian_fit_weighted_batch(
     data: np.ndarray,
     weights: np.ndarray,
     workspace: Workspace | None = None,
-) -> list[GaussianModel | Exception]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :meth:`GaussianModel.fit_weighted` over a batch.
 
-    ``data`` and ``weights`` are C-contiguous stacks of equal shape.
+    Returns the ``(rows, 2)`` ``(mu, sigma)`` lanes and the rows the
+    weighted-moment kernel flags for the scalar path.
     """
-    results: list[GaussianModel | Exception] = []
-    for summary in _weighted_moments_rows(data, weights, workspace):
-        if isinstance(summary, Exception):
-            results.append(summary)
-            continue
-        mean, std, _ = summary
-        try:
-            results.append(GaussianModel(mean, std))
-        except Exception as error:  # noqa: BLE001 — mirrors serial raise
-            results.append(error)
-    return results
+    means, stds, _, scalar = _weighted_moments_rows(data, weights, workspace)
+    return np.array([means, stds]).T, scalar
 
 
 #: Component family wiring GaussianModel into the generic EM driver.
@@ -89,6 +90,8 @@ GAUSSIAN_FAMILY = ComponentFamily(
     name="normal",
     fit=GaussianModel.fit,
     fit_weighted=GaussianModel.fit_weighted,
+    params=_gaussian_params,
+    build=_gaussian_build,
     logpdf_batch=_gaussian_logpdf_batch,
     fit_weighted_batch=_gaussian_fit_weighted_batch,
 )

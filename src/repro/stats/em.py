@@ -7,7 +7,10 @@ estimates.  The driver is component-family agnostic: the same loop fits
 LVF2 (skew-normal components) and Norm2 (Gaussian components), the two
 mixture models compared in the paper.  There is one engine,
 :func:`fit_mixture_em_batch`, which fits a stack of sample rows in
-lockstep; a scalar fit is a batch of one.
+lockstep; a scalar fit is a batch of one.  Inside the loop a block's
+mixtures are plain arrays (weights, component parameter lanes, live
+lane counts and collapse flags); mixture and component objects are
+built only where a row starts and where it finishes.
 
 The M-step is pluggable.  The default family implementations use
 weighted method-of-moments updates — fast, closed-form and stable, but
@@ -21,6 +24,7 @@ classes polishes the result by direct likelihood ascent.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -53,40 +57,48 @@ __all__ = [
 class ComponentFamily:
     """A parametric family usable as mixture components.
 
+    The lockstep EM loop holds each component as a *lane*: ``P``
+    floats, one row of a ``(rows, width, P)`` parameter array.
+    ``params`` and ``build`` convert between lanes and components where
+    a row starts and where it finishes; every iteration in between
+    runs on the arrays.
+
     Attributes:
         name: Family name for diagnostics ("skew-normal", "normal").
-        fit: Unweighted fit used on the initial k-means groups.
-        fit_weighted: Weighted fit of one component — all samples
-            plus that component's responsibilities; the per-row
-            M-step that ``fit_weighted_batch`` must reproduce.
-        logpdf_batch: Vectorized density — receives one component
-            per stacked row, the C-contiguous ``(n_points, n_samples)``
-            data stack and a :class:`~repro.stats.workspace.Workspace`,
-            and returns per-row log densities bit-identical to calling
-            each component's ``logpdf`` on its row.  The result may be
-            a workspace view (valid until the next call).
-        fit_weighted_batch: Vectorized M-step — receives the data
-            stack, per-row responsibilities and the workspace, and
-            returns one fitted component (or the captured exception)
-            per row, each bit-identical to ``fit_weighted`` on that
-            row.  The components it returns may be lightweight
-            stand-ins (carrying just what ``logpdf_batch`` reads) as
-            long as ``realize`` can turn each one into the exact model
-            ``fit_weighted`` would have produced.
-        realize: Optional finisher for ``fit_weighted_batch``
-            stand-ins — called on every component of a finished
-            mixture before it is returned.  ``None`` means the batch
-            M-step already returns real components.
+        fit: Unweighted fit, used on the initial k-means groups and for
+            the single-component collapse.
+        fit_weighted: Weighted fit of one component (all samples plus
+            that component's responsibilities).  The scalar spec of the
+            M-step: ``fit_weighted_batch`` reproduces it on every lane
+            it does not flag, and the loop calls it on the lanes it
+            flags.
+        params: The lane of a component, a tuple of ``P`` floats.
+        build: The component of a lane; ``build(params(c))`` equals
+            ``c`` field for field for every component ``fit`` and
+            ``fit_weighted`` return.
+        logpdf_batch: Vectorized density: receives a ``(rows, P)`` lane
+            array, the C-contiguous ``(rows, n_samples)`` data stack
+            and a :class:`~repro.stats.workspace.Workspace`, and
+            returns per-row log densities bit-identical to each lane's
+            component's ``logpdf`` on its row.  The result may be a
+            workspace view (valid until the next call).
+        fit_weighted_batch: Vectorized M-step: receives the data stack,
+            per-row responsibilities and the workspace, and returns the
+            ``(rows, P)`` new lanes plus a ``(rows,)`` mask of the lanes
+            that need the scalar path.  Every unflagged lane is
+            bit-identical to ``params(fit_weighted(row, weights))``; a
+            flagged lane's values are meaningless.
     """
 
     name: str
     fit: Callable[[np.ndarray], Any]
     fit_weighted: Callable[[np.ndarray, np.ndarray], Any]
-    logpdf_batch: Callable[[Sequence[Any], np.ndarray, Workspace], np.ndarray]
+    params: Callable[[Any], tuple[float, ...]]
+    build: Callable[[Sequence[float]], Any]
+    logpdf_batch: Callable[[np.ndarray, np.ndarray, Workspace], np.ndarray]
     fit_weighted_batch: Callable[
-        [np.ndarray, np.ndarray, Workspace], list[Any]
+        [np.ndarray, np.ndarray, Workspace], tuple[np.ndarray, np.ndarray]
     ]
-    realize: Callable[[Any], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -427,10 +439,10 @@ def _fit_mixture_em_batch_impl(
     payloads = [
         _Block(
             stack[block],
-            tuple(mixtures[p] for p in block),
+            *_lanes(
+                [mixtures[p] for p in block], family, width, n_components
+            ),
             family,
-            n_components,
-            width,
             cfg,
         )
         for block in blocks
@@ -440,6 +452,30 @@ def _fit_mixture_em_batch_impl(
     ):
         for p, outcome in zip(block, outcomes):
             results[p] = outcome
+
+
+def _lanes(
+    mixtures: list[Mixture],
+    family: ComponentFamily,
+    width: int,
+    n_components: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Initial mixtures as lockstep state.
+
+    Returns the weights, lanes, live-lane counts and collapse flags of
+    a :class:`_Block`.  A dead lane weighs 0 and holds a copy of the
+    row's first lane: the loop computes its density and then masks it
+    out, so it only has to be valid.
+    """
+    weights = np.zeros((len(mixtures), width))
+    lanes = []
+    for a, mixture in enumerate(mixtures):
+        row = [family.params(c) for c in mixture.components]
+        lanes.append(row + row[:1] * (width - len(row)))
+        weights[a, : len(row)] = mixture.weights
+    counts = np.array([m.n_components for m in mixtures], dtype=np.intp)
+    lanes_array = np.array(lanes, dtype=float)
+    return weights, lanes_array, counts, counts < n_components
 
 
 def _row_error(row: np.ndarray, n_components: int) -> FittingError | None:
@@ -538,23 +574,50 @@ class _Block:
     """One lockstep block: everything its E/M loop reads.
 
     Built by the parent and, when a helper process takes the block,
-    pickled to it whole (``runtime.fanout``).
+    pickled to it whole (``runtime.fanout``).  The mixtures travel as
+    arrays, one row per stack row.
 
     Attributes:
-        rows: ``(len(mixtures), n_samples)`` C-contiguous stack rows.
-        mixtures: Each row's initial mixture (at least two components).
+        rows: ``(rows, n_samples)`` C-contiguous stack rows.
+        weights: ``(rows, width)`` initial weights; dead lanes weigh 0.
+        params: ``(rows, width, P)`` initial component lanes.
+        counts: ``(rows,)`` live lanes per row (at least two).
+        collapsed: ``(rows,)`` rows seeded with fewer components than
+            requested.
         family: Component family.
-        n_components: Requested mixture size.
-        width: Lanes per row (``n_components`` or a wider warm start).
         cfg: Loop configuration.
     """
 
     rows: np.ndarray
-    mixtures: tuple[Mixture, ...]
+    weights: np.ndarray
+    params: np.ndarray
+    counts: np.ndarray
+    collapsed: np.ndarray
     family: ComponentFamily
-    n_components: int
-    width: int
     cfg: EMConfig
+
+
+def _valid_weights(weights: np.ndarray) -> np.ndarray:
+    """Rows of normalised weights that every :class:`Mixture` accepts.
+
+    The loop's weights are responsibility means over their sum, never
+    negative, so only the sum can fail the mixture's check (within
+    ``1e-8`` of 1).  This one is stricter, so it holds whatever order
+    the sum takes.  A row that fails it builds its mixture
+    (:func:`_check_row`), which raises the exact error or accepts it.
+    """
+    return np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9
+
+
+def _check_row(
+    weights: np.ndarray, lanes: np.ndarray, family: ComponentFamily
+) -> None:
+    """Raise what ``Mixture`` raises on one row's weights and lanes."""
+    if not _valid_weights(weights):
+        Mixture(
+            tuple(weights.tolist()),
+            tuple(family.build(lane) for lane in lanes.tolist()),
+        )
 
 
 def _fit_block(block: _Block) -> list[EMResult | Exception]:
@@ -566,24 +629,30 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
     ``a``-th live row is always the ``a``-th leading row, so every
     reduction runs over a C-contiguous leading-row view (DESIGN §14).
 
-    A row's mixture holds only its live components, in its leading
-    lanes; the remaining lanes are dead.  A dead lane has weight
-    exactly 0, so its log row is all ``-inf``: it leaves the
-    normaliser unchanged (``logaddexp(x, -inf) == x``), its
-    responsibility and weight are 0 (``x + 0.0 == x`` in the weight
-    sum), and its M-step update is discarded.  The live lanes
-    therefore compute exactly what a fit of just the live components
-    computes.  (Where the normaliser itself is ``-inf`` every lane's
-    weight is NaN, live ones included, as in a fit of the live
-    components alone.)
-    """
-    import math
+    Each row's mixture is array state: its weights, its component
+    lanes and its live-lane count.  Objects are built only where a row
+    finishes, and for the rare lane or row the arrays do not decide
+    (see below).  A row's live components sit in its leading lanes;
+    the remaining lanes are dead.  A dead lane has weight exactly 0,
+    so its log row is all ``-inf``: it leaves the normaliser unchanged
+    (``logaddexp(x, -inf) == x``), its responsibility and weight are 0
+    (``x + 0.0 == x`` in the weight sum), and its M-step update is
+    discarded.  The live lanes therefore compute exactly what a fit of
+    just the live components computes.  (Where the normaliser itself
+    is ``-inf`` every lane's weight is NaN, live ones included, as in
+    a fit of the live components alone.)
 
+    A live lane the batched M-step flags runs the family's scalar
+    ``fit_weighted``: its component becomes the lane, a
+    :class:`FittingError` keeps the previous lane, and any other error
+    fails the row.  A row whose new weights fail :func:`_valid_weights`
+    builds its mixture, which raises the row's error or accepts it.
+    """
     stack = block.rows
-    family, width, cfg = block.family, block.width, block.cfg
+    family, cfg = block.family, block.cfg
     logpdf_batch = family.logpdf_batch
-    fit_weighted_batch = family.fit_weighted_batch
     n_rows, n_samples = stack.shape
+    _, width, n_params = block.params.shape
     results: list[EMResult | Exception | None] = [None] * n_rows
     workspace = Workspace(n_rows * width, n_samples)
     shape = (n_rows, width, n_samples)
@@ -599,8 +668,9 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
     ).reshape(shape)
     log_norm = workspace.take("em.log_norm", n_rows)
     data[:] = stack[:, None, :]
+    lane_index = np.arange(width)
 
-    def _log_rows(mixture_list: list[Mixture]) -> np.ndarray:
+    def _log_rows(weights: np.ndarray, params: np.ndarray) -> np.ndarray:
         """Fill the live log rows and normaliser; return the logliks.
 
         ``math.log(weight)`` is a scalar constant and the broadcast add
@@ -610,68 +680,62 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
         pairwise per contiguous row.  The normaliser is kept for the
         next E-step, which needs exactly it.
         """
-        alive = len(mixture_list)
-        weights: list[float] = []
-        components: list[Any] = []
-        for mixture in mixture_list:
-            weights.extend(mixture.weights)
-            components.extend(mixture.components)
-            dead = width - mixture.n_components
-            if dead:
-                # Any live component fills a dead lane's density; the
-                # zero weight overwrites it with -inf below.
-                weights.extend([0.0] * dead)
-                components.extend(mixture.components[:1] * dead)
+        alive = weights.shape[0]
         densities = logpdf_batch(
-            components,
+            params.reshape(alive * width, n_params),
             data[:alive].reshape(alive * width, n_samples),
             workspace,
         )
-        consts = np.array([math.log(w) if w > 0.0 else 0.0 for w in weights])
+        flat_weights = weights.ravel()
+        consts = np.array(
+            [math.log(w) if w > 0.0 else 0.0 for w in flat_weights.tolist()]
+        )
         flat = log_rows[:alive].reshape(alive * width, n_samples)
         np.add(consts[:, None], densities, out=flat)
-        if not all(w > 0.0 for w in weights):
+        empty = ~(flat_weights > 0.0)
+        if empty.any():
             # A zero-weight component contributes nothing: its row
             # stays at -inf.
-            flat[[i for i, w in enumerate(weights) if not w > 0.0]] = -np.inf
+            flat[empty] = -np.inf
         norm = _fold_lanes(log_rows[:alive], log_norm[:alive])
         return np.sum(norm, axis=1)
 
-    def _realized(mixture: Mixture) -> Mixture:
-        """Swap M-step stand-ins for the real components, if any."""
-        if family.realize is None:
-            return mixture
-        return Mixture(
-            mixture.weights,
-            tuple(family.realize(c) for c in mixture.components),
-        )
-
-    mixtures_c = list(block.mixtures)
-    idx_c = list(range(n_rows))
-    collapsed_c = [m.n_components < block.n_components for m in mixtures_c]
+    # Per-row state; entry ``a`` is the ``a``-th live row.
+    idx = np.arange(n_rows)
+    weights = block.weights
+    params = block.params.copy()
+    counts = block.counts.copy()
+    collapsed = block.collapsed.copy()
     histories: list[list[float]] = [[] for _ in range(n_rows)]
-    logliks = _log_rows(mixtures_c)
+    logliks = _log_rows(weights, params)
 
     def _retire(done: np.ndarray, *stacks: np.ndarray) -> None:
         """Drop the finished rows ``done`` from every per-row state."""
-        nonlocal logliks, idx_c, mixtures_c, collapsed_c
+        nonlocal idx, weights, params, counts, collapsed, logliks
         keep = ~done
         _compact(keep, *stacks)
-        logliks = logliks[keep]
-        flags = keep.tolist()
-        idx_c = [p for p, flag in zip(idx_c, flags) if flag]
-        mixtures_c = [m for m, flag in zip(mixtures_c, flags) if flag]
-        collapsed_c = [c for c, flag in zip(collapsed_c, flags) if flag]
+        idx, weights, params, counts, collapsed, logliks = (
+            state[keep]
+            for state in (idx, weights, params, counts, collapsed, logliks)
+        )
 
     def _finish(a: int, iteration: int, converged: bool, loglik: float):
-        p = idx_c[a]
+        p = int(idx[a])
+        count = int(counts[a])
         try:
+            mixture = Mixture(
+                tuple(weights[a, :count].tolist()),
+                tuple(
+                    family.build(lane)
+                    for lane in params[a, :count].tolist()
+                ),
+            )
             results[p] = EMResult(
-                _realized(mixtures_c[a]).sorted_by_mean(),
+                mixture.sorted_by_mean(),
                 loglik,
                 iteration,
                 converged,
-                collapsed=collapsed_c[a],
+                collapsed=bool(collapsed[a]),
                 history=tuple(histories[p]),
             )
         except Exception as error:  # captured per row
@@ -679,31 +743,29 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
 
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        if not mixtures_c:
+        alive = idx.size
+        if not alive:
             break
-        alive = len(mixtures_c)
         resp = responsibilities[:alive]
         np.subtract(log_rows[:alive], log_norm[:alive, None, :], out=resp)
         np.exp(resp, out=resp)
-        weights_c = resp.mean(axis=2)
-        low = weights_c < cfg.min_weight
-        for a, mixture in enumerate(mixtures_c):
-            # Dead lanes weigh 0 and are never pruned again.
-            low[a, mixture.n_components :] = False
+        masses = resp.mean(axis=2)
+        live = lane_index < counts[:, None]
+        # Dead lanes weigh 0 and are never pruned again.
+        low = (masses < cfg.min_weight) & live
 
         # A component below ``min_weight`` is pruned from its row: the
         # row renormalises the survivors' responsibilities and goes on
         # with one more dead lane, or collapses to one component.
-        pruning = np.flatnonzero(low.any(axis=1)).tolist()
-        if pruning:
+        if low.any():
             done = np.zeros(alive, dtype=bool)
-            for a in pruning:
-                p = idx_c[a]
-                mixture = mixtures_c[a]
-                count = mixture.n_components
-                keep = weights_c[a, :count] >= cfg.min_weight
+            for a in np.flatnonzero(low.any(axis=1)).tolist():
+                p = int(idx[a])
+                count = int(counts[a])
+                keep = masses[a, :count] >= cfg.min_weight
+                kept_count = int(keep.sum())
                 try:
-                    if int(keep.sum()) <= 1:
+                    if kept_count <= 1:
                         single = _collapse(stack[p], family)
                         results[p] = EMResult(
                             single,
@@ -717,86 +779,88 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
                         continue
                     kept = resp[a, :count][keep]
                     kept = kept / kept.sum(axis=0, keepdims=True)
-                    weights = kept.mean(axis=1)
-                    mixtures_c[a] = Mixture(
-                        tuple(weights / weights.sum()),
-                        tuple(
-                            component
-                            for flag, component in zip(
-                                keep, mixture.components
-                            )
-                            if flag
-                        ),
+                    kept_masses = kept.mean(axis=1)
+                    kept_lanes = params[a, :count][keep]
+                    _check_row(
+                        kept_masses / kept_masses.sum(), kept_lanes, family
                     )
                 except Exception as error:  # captured per row
                     results[p] = error
                     done[a] = True
                     continue
-                resp[a, : weights.size] = kept
-                weights_c[a, : weights.size] = weights
-                weights_c[a, weights.size :] = 0.0
-                collapsed_c[a] = True
+                resp[a, :kept_count] = kept
+                masses[a, :kept_count] = kept_masses
+                masses[a, kept_count:] = 0.0
+                params[a, :kept_count] = kept_lanes
+                counts[a] = kept_count
+                collapsed[a] = True
             if done.any():
-                weights_c = weights_c[~done]
+                masses = masses[~done]
                 _retire(done, data, responsibilities)
-                if not mixtures_c:
+                if not idx.size:
                     break
-                alive = len(mixtures_c)
+                alive = idx.size
+            live = lane_index < counts[:, None]
 
         # One weighted-moment call over all (row, lane) pairs: every
         # row of the flat stack is an independent lane/row-reduction
         # computation, so each pair's update is bit-identical to a
         # per-component call.
-        updates = fit_weighted_batch(
-            data[:alive].reshape(alive * width, n_samples),
-            responsibilities[:alive].reshape(alive * width, n_samples),
-            workspace,
+        flat_data = data[:alive].reshape(alive * width, n_samples)
+        flat_resp = responsibilities[:alive].reshape(alive * width, n_samples)
+        updates, scalar = family.fit_weighted_batch(
+            flat_data, flat_resp, workspace
         )
+        flagged = scalar.reshape(alive, width) & live
+        np.copyto(
+            params,
+            updates.reshape(alive, width, n_params),
+            where=(live & ~flagged)[:, :, None],
+        )
+        done = np.zeros(alive, dtype=bool)
+        if flagged.any():
+            for a, k in zip(*(axis.tolist() for axis in np.nonzero(flagged))):
+                if done[a]:
+                    continue
+                try:
+                    component = family.fit_weighted(
+                        flat_data[a * width + k], flat_resp[a * width + k]
+                    )
+                except FittingError:
+                    # A degenerate weighted update keeps the previous
+                    # estimate for this iteration.
+                    continue
+                except Exception as error:  # captured per row
+                    results[int(idx[a])] = error
+                    done[a] = True
+                    continue
+                params[a, k] = family.params(component)
         # One batched normalize: the last-axis row reduce of the
         # C-contiguous (A, width) array is the same sequential/pairwise
         # sum as a 1-D ``sum()`` of the row, and the broadcast divide
         # is elementwise, so each row is bit-identical to
-        # ``weights / weights.sum()``.
-        norm_weights = (
-            weights_c / weights_c.sum(axis=1)[:, None]
-        ).tolist()
-        done = np.zeros(alive, dtype=bool)
-        for a, mixture in enumerate(mixtures_c):
-            count = mixture.n_components
-            components: list[Any] = []
-            failure: Exception | None = None
-            for k in range(count):
-                update = updates[a * width + k]
-                if isinstance(update, FittingError):
-                    # A degenerate weighted update keeps the previous
-                    # estimate for this iteration.
-                    components.append(mixture.components[k])
-                elif isinstance(update, Exception):
-                    failure = update
-                    break
-                else:
-                    components.append(update)
-            if failure is None:
+        # ``weights / weights.sum()``.  Dead lanes stay exactly 0.
+        weights = masses / masses.sum(axis=1)[:, None]
+        valid = _valid_weights(weights)
+        if not valid.all():
+            for a in np.flatnonzero(~valid & ~done).tolist():
+                count = int(counts[a])
                 try:
-                    mixtures_c[a] = Mixture(
-                        tuple(norm_weights[a][:count]), tuple(components)
-                    )
+                    _check_row(weights[a, :count], params[a, :count], family)
                 except Exception as error:  # captured per row
-                    failure = error
-            if failure is not None:
-                results[idx_c[a]] = failure
-                done[a] = True
+                    results[int(idx[a])] = error
+                    done[a] = True
         if done.any():
             _retire(done, data)
-            if not mixtures_c:
+            if not idx.size:
                 break
 
-        new_logliks = _log_rows(mixtures_c)
+        new_logliks = _log_rows(weights, params)
         # ``tolist`` converts each element exactly like ``float(x[a])``
         # in one C pass; the hoisted list feeds the bookkeeping loops.
         new_logliks_l = new_logliks.tolist()
-        for a, p in enumerate(idx_c):
-            histories[p].append(new_logliks_l[a])
+        for p, value in zip(idx.tolist(), new_logliks_l):
+            histories[p].append(value)
         conv = np.abs(new_logliks - logliks) <= cfg.tol * (
             np.abs(logliks) + 1e-12
         )
@@ -807,7 +871,7 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
             _retire(conv, data, log_rows, log_norm)
 
     # --- max_iter exhausted: non-converged leftovers -----------------
-    for a, p in enumerate(idx_c):
+    for a, p in enumerate(idx.tolist()):
         if cfg.require_convergence:
             results[p] = ConvergenceWarningError(
                 f"EM did not converge in {cfg.max_iter} iterations "

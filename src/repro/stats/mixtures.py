@@ -101,27 +101,12 @@ class Mixture:
             )
         if not self.components:
             raise ParameterError("mixture needs at least one component")
-        # EM constructs a Mixture per iteration per grid point, so this
-        # validation is hot.  For short tuples numpy's ``sum`` reduces
-        # sequentially (pairwise blocking starts at 8 elements), so a
-        # plain Python accumulation is bit-identical and much cheaper
-        # than three ufunc dispatches on a 2-tuple.
-        if len(self.weights) < 8:
-            total = 0.0
-            negative = False
-            for value in self.weights:
-                value = float(value)
-                if value < -1e-12:
-                    negative = True
-                total += value
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            negative = bool(np.any(w < -1e-12))
-            total = float(w.sum())
-        if negative or not math.isclose(total, 1.0, abs_tol=1e-8):
-            listed = np.asarray(self.weights, dtype=float).tolist()
+        w = np.asarray(self.weights, dtype=float)
+        if np.any(w < -1e-12) or not math.isclose(
+            float(w.sum()), 1.0, abs_tol=1e-8
+        ):
             raise ParameterError(
-                f"weights must be non-negative and sum to 1, got {listed}"
+                f"weights must be non-negative and sum to 1, got {w.tolist()}"
             )
 
     @classmethod

@@ -198,20 +198,30 @@ def weighted_moments(samples: np.ndarray, weights: np.ndarray) -> MomentSummary:
     return MomentSummary(mean, std, skew, kurt, count=effective)
 
 
+#: Largest ``std`` whose powers the M-step kernel takes on the array
+#: path; a lane with a larger one, whose ``std**4`` may overflow (and
+#: raise in :func:`weighted_moments`), takes the scalar path.
+_POW_SAFE_STD = 1e77
+
+
 def _weighted_moments_rows(
     array: np.ndarray,
     weight: np.ndarray,
     workspace: Workspace | None = None,
-) -> "list[tuple[float, float, float] | Exception]":
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise :func:`weighted_moments`: the EM M-step's kernel.
 
     ``array`` and ``weight`` must be C-contiguous 2-D stacks of equal
-    shape.  All sums run along ``axis=1`` (bit-identical to the serial
-    pairwise sums); the scalar finishing arithmetic per row (``/
-    std**3`` etc.) is plain Python, mirroring the serial expressions
-    token for token.  Each row's entry is its ``(mean, std, skewness)``
-    — the fields the M-step reads — or the exception
-    :func:`weighted_moments` raises on that row.
+    shape.  Returns ``(means, stds, skews, scalar)``, one entry per
+    row.  ``scalar`` flags every row on which :func:`weighted_moments`
+    raises, and every row whose ``std`` exceeds :data:`_POW_SAFE_STD`;
+    a flagged row's values are meaningless, and its caller resolves it
+    through the scalar function.  Every other row is bit-identical to
+    the ``(mean, std, skewness)`` of :func:`weighted_moments`: all sums
+    run along ``axis=1`` (the serial pairwise order), ``+ - * / sqrt``
+    round the same in numpy and Python, and ``std**3`` / ``std**4``
+    run per row through Python's ``**`` (libm), because numpy's vector
+    ``power`` loop can differ from it by an ulp.
 
     Every ``(n_points, n_samples)`` temporary lives in ``workspace`` (a
     fresh one when ``None``), so the EM loop, which passes its block
@@ -226,13 +236,12 @@ def _weighted_moments_rows(
     product = scratch.take("moments.product", rows)
     negative = np.any(np.less(weight, 0.0, out=mask), axis=1)
     totals = weight.sum(axis=1)
-    bad_total = ~np.isfinite(totals) | (totals <= 0.0)
-    # Rows with a bad total divide by zero/inf below; their lanes are
-    # discarded per-row, and lanes are independent, so suppress the
-    # warnings rather than branch per row.  Each in-place step below
-    # is the same ufunc on the same operands as the serial expression
-    # in ``weighted_moments``; the trailing comments name what the
-    # reused ``power`` buffer holds.
+    # Flagged rows divide by zero/inf below; their values are dropped,
+    # and rows are independent, so suppress the warnings rather than
+    # branch per row.  Each in-place step below is the same ufunc on
+    # the same operands as the serial expression in
+    # ``weighted_moments``; the trailing comments name what the reused
+    # ``power`` buffer holds.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         np.divide(weight, totals[:, None], out=probability)
         means = np.sum(
@@ -249,46 +258,26 @@ def _weighted_moments_rows(
         )
         sumw2 = np.sum(np.multiply(weight, weight, out=product), axis=1)
         stds = np.sqrt(variances)
-    results: list[tuple[float, float, float] | Exception] = []
-    # ``tolist`` converts every lane to a Python float in one C pass —
-    # exactly ``float(x[p])`` per element, hoisted out of the hot loop.
-    # ``totals`` stays an array: the serial Kish formula squares the
-    # ``np.float64`` total, and that operation must stay identical.
-    negative_l = negative.tolist()
-    bad_total_l = bad_total.tolist()
-    variances_l = variances.tolist()
-    means_l = means.tolist()
-    stds_l = stds.tolist()
-    sums3_l = sums3.tolist()
-    sumw2_l = sumw2.tolist()
-    for p in range(rows):
-        if negative_l[p]:
-            results.append(FittingError("weights must be non-negative"))
-            continue
-        if bad_total_l[p]:
-            results.append(
-                FittingError("total weight must be positive and finite")
-            )
-            continue
-        if variances_l[p] <= 0.0:
-            results.append(FittingError("weighted variance is zero"))
-            continue
-        try:
-            # The finishing arithmetic can itself raise — e.g.
-            # ``OverflowError`` when ``std**4`` overflows a float —
-            # exactly as the serial expressions would for that row.
-            std = stds_l[p]
-            if std**4 == 0.0:
-                raise FittingError("weighted standard deviation underflows")
-            skew = sums3_l[p] / std**3
-            # The Kish count is not returned, but ``int`` of an
-            # infinite or NaN ratio raises, so it is still computed.
-            _ = int(round(totals[p] ** 2 / sumw2_l[p]))
-        except Exception as finishing_error:  # noqa: BLE001 — serial parity
-            results.append(finishing_error)
-            continue
-        results.append((means_l[p], std, skew))
-    return results
+        good = (
+            ~negative
+            & (totals > 0.0)
+            # The Kish effective count is not returned, but ``int`` of
+            # an infinite or NaN ratio raises in the serial function.
+            & (sumw2 > 0.0)
+            & np.isfinite(totals * totals / sumw2)
+        )
+        # ``0 < std`` is ``variance > 0``; a ``std`` above the bound
+        # (or NaN) gets no powers and is flagged by its zero ``std**4``.
+        stds_l = stds.tolist()
+        fourth = np.array(
+            [std**4 if 0.0 < std <= _POW_SAFE_STD else 0.0 for std in stds_l]
+        )
+        cube = np.array(
+            [std**3 if 0.0 < std <= _POW_SAFE_STD else 1.0 for std in stds_l]
+        )
+        good &= fourth != 0.0
+        skews = sums3 / cube
+    return means, stds, skews, ~good
 
 
 def standard_error_of_mean(samples: np.ndarray) -> float:

@@ -50,8 +50,7 @@ MAX_SKEWNESS = (
 DEFAULT_SKEW_MARGIN = 1e-4
 
 #: ``(0.5 * (4 - pi)) ** (2/3)``, the constant denominator term of the
-#: moments->params inversion — hoisted because the EM M-step runs the
-#: inversion once per component update.
+#: moments->params inversion.
 _HALF_GAP = (0.5 * (4.0 - math.pi)) ** (2.0 / 3.0)
 
 
@@ -81,10 +80,9 @@ def clamp_skewness(
     Returns:
         The clamped skewness.
     """
-    # Scalar clip in plain Python: ``np.clip`` on a 0-d input costs a
-    # full ufunc dispatch, and this runs once per EM component update.
     # Branch order matches ``minimum(maximum(g, -b), b)`` exactly,
-    # including NaN (both comparisons false -> NaN passes through).
+    # including NaN (both comparisons false -> NaN passes through), so
+    # the array form's ``np.clip`` agrees with it lane for lane.
     bound = MAX_SKEWNESS - margin
     if gamma > bound:
         return float(bound)
@@ -135,6 +133,47 @@ def moments_to_params(
     omega = std / math.sqrt(1.0 - (_B * delta) ** 2)
     xi = mean - omega * delta * _B
     return (float(xi), float(omega), float(alpha))
+
+
+def _moments_to_params_rows(
+    means: np.ndarray, stds: np.ndarray, skews: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`moments_to_params` lane by lane over 1-D arrays.
+
+    The array form of the bijection ``g``, run by the EM M-step on
+    every component lane at once.  Returns ``(xi, omega, alpha, bad)``.
+    ``bad`` flags each lane the arrays do not stand for: ``std`` not
+    positive and finite (where :func:`moments_to_params` raises), or a
+    result :class:`SkewNormal` rejects.  A flagged lane's values are
+    meaningless; its caller resolves it through the scalar functions.
+    Every other lane is bit-identical to :func:`moments_to_params`
+    with the default margin: ``+ - * / sqrt`` round the same in numpy
+    and ``math``, and the two powers run per lane through Python's
+    ``**`` (libm) because numpy's vector ``power`` loop can differ
+    from it by an ulp.
+    """
+    bound = MAX_SKEWNESS - DEFAULT_SKEW_MARGIN
+    gamma = np.minimum(np.maximum(skews, -bound), bound)
+    magnitude = np.abs(gamma)
+    ratio = np.array([g ** (2.0 / 3.0) for g in magnitude.tolist()])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        abs_delta = np.sqrt((math.pi / 2.0) * ratio / (ratio + _HALF_GAP))
+        delta = np.copysign(np.minimum(abs_delta, 1.0 - 1e-12), gamma)
+        alpha = delta / np.sqrt(1.0 - delta * delta)
+        squared = np.array([v**2 for v in (_B * delta).tolist()])
+        omega = stds / np.sqrt(1.0 - squared)
+        xi = means - omega * delta * _B
+        small = magnitude < 1e-14
+        if small.any():
+            xi[small] = means[small]
+            omega[small] = stds[small]
+            alpha[small] = 0.0
+        # ``omega`` is ``std`` over a factor in (0.6, 1], so it is
+        # positive and finite exactly where ``std`` is (short of
+        # overflow); a finite sum means all three are finite, and an
+        # overflowing one only flags a lane the scalar path then fits.
+        good = (omega > 0.0) & np.isfinite(xi + omega + alpha)
+    return xi, omega, alpha, ~good
 
 
 def params_to_moments(
