@@ -25,15 +25,8 @@ from repro.stats.empirical import EmpiricalDistribution
 
 
 def _single_start_lvf2(samples):
-    result = fit_mixture_em(samples, SKEW_NORMAL_FAMILY, 2)
-    mixture = result.mixture
-    if mixture.n_components == 1:
-        return LVF2Model(0.0, mixture.components[0], None)
-    return LVF2Model(
-        float(mixture.weights[1]),
-        mixture.components[0],
-        mixture.components[1],
-    )
+    result = fit_mixture_em(samples, SKEW_NORMAL_FAMILY)
+    return LVF2Model._from_mixture(result.mixture)
 
 
 def _run_ablation(n_samples: int = 8000):

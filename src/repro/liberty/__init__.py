@@ -9,11 +9,6 @@ from repro.liberty.lvf_attrs import (
     LVFTables,
     lvf_attr_name,
 )
-from repro.liberty.lvfk_attrs import (
-    LVFkTables,
-    lvfk_attr_name,
-    parse_lvfk_timing_group,
-)
 from repro.liberty.parser import parse_group, parse_liberty
 from repro.liberty.validate import Diagnostic, Severity, validate_library
 from repro.liberty.tables import Table, TableTemplate, parse_number_list
@@ -28,7 +23,6 @@ __all__ = [
     "LVF2_PREFIXES",
     "LVFTables",
     "LVF_PREFIXES",
-    "LVFkTables",
     "Library",
     "Pin",
     "SimpleAttribute",
@@ -40,9 +34,7 @@ __all__ = [
     "format_float",
     "lvf2_attr_name",
     "lvf_attr_name",
-    "lvfk_attr_name",
     "parse_group",
-    "parse_lvfk_timing_group",
     "parse_liberty",
     "parse_number_list",
     "read_library",

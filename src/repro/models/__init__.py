@@ -8,8 +8,7 @@ The four models compared in the paper's experiments:
 - :class:`LVFModel` — single skew-normal, the industry baseline [4]
 
 plus extension baselines (:class:`GaussianModel`,
-:class:`LogNormalModel`, :class:`LogSkewNormalModel`) and the
-k-component extension (:class:`LVFkModel`).
+:class:`LogNormalModel`, :class:`LogSkewNormalModel`).
 
 Use the registry (:func:`get_model` / :func:`fit_model`) to select
 models by the names used in the paper's tables.
@@ -27,7 +26,6 @@ from repro.models.lesn import LESNModel
 from repro.models.lognormal import LogNormalModel, LogSkewNormalModel
 from repro.models.lvf import LVFModel
 from repro.models.lvf2 import LVF2Model, SKEW_NORMAL_FAMILY
-from repro.models.lvfk import LVF3Model, LVF4Model, LVFkModel, fit_lvfk
 from repro.models.norm2 import GAUSSIAN_FAMILY, Norm2Model
 from repro.models.uncertainty import (
     BootstrapSummary,
@@ -44,10 +42,7 @@ __all__ = [
     "GaussianModel",
     "LESNModel",
     "LVF2Model",
-    "LVF3Model",
-    "LVF4Model",
     "LVFModel",
-    "LVFkModel",
     "LogNormalModel",
     "LogSkewNormalModel",
     "Norm2Model",
@@ -56,7 +51,6 @@ __all__ = [
     "TimingModel",
     "available_models",
     "bootstrap_model",
-    "fit_lvfk",
     "fit_model",
     "get_model",
     "lvf2_weight_interval",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import math
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, TypeVar
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.stats.moments import MomentSummary
 
 __all__ = [
     "TimingModel",
+    "TwoComponentModel",
     "available_models",
     "get_model",
     "fit_model",
@@ -67,21 +69,6 @@ def get_model(name: str) -> type["TimingModel"]:
 def fit_model(name: str, samples: np.ndarray, **kwargs: Any) -> "TimingModel":
     """Convenience: ``get_model(name).fit(samples, **kwargs)``."""
     return get_model(name).fit(samples, **kwargs)
-
-
-def _from_mixture(cls: type[ModelT], mixture: Mixture) -> ModelT:
-    """Build a two-component model ``cls(weight, first, second)``.
-
-    Shared by the mixture models (LVF2, Norm2): a mixture EM collapsed
-    to one component becomes ``cls(0.0, first, None)``.
-    """
-    if mixture.n_components == 1:
-        return cls(0.0, mixture.components[0], None)
-    return cls(
-        float(mixture.weights[1]),
-        mixture.components[0],
-        mixture.components[1],
-    )
 
 
 class TimingModel(abc.ABC):
@@ -202,3 +189,91 @@ class TimingModel(abc.ABC):
             f"<{type(self).__name__} mean={summary.mean:.6g} "
             f"std={summary.std:.6g} skew={summary.skewness:.4g}>"
         )
+
+
+@dataclass(frozen=True, repr=False)
+class TwoComponentModel(TimingModel):
+    """Weighted pair ``(1 - lambda) f1 + lambda f2`` of components.
+
+    The shared body of the paper's two mixture models, LVF2 (Eq. 4)
+    and Norm2: the weight checks, the :class:`Mixture` the queries
+    delegate to, and the collapse to one component (``lambda = 0``,
+    Eq. 10).  A subclass adds its fields after these and its
+    parameter accounting.  ``_mixture`` is set last, in
+    ``__post_init__``, so an instance's ``__dict__`` (what pickled
+    checkpoint payloads hold) lists the init fields in order and then
+    ``_mixture``.
+
+    Attributes:
+        weight: Mixing weight ``lambda`` of the second component.
+        component1: First (lower-mean) component.
+        component2: Second component, or ``None`` when the model is a
+            single component (``lambda = 0``).
+    """
+
+    weight: float
+    component1: Any
+    component2: Any | None = None
+    _mixture: Mixture = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.weight <= 1.0:
+            raise ParameterError(
+                f"weight must lie in [0, 1], got {self.weight}"
+            )
+        if self.component2 is None and self.weight != 0.0:
+            raise ParameterError(
+                "weight must be 0 when the second component is absent"
+            )
+        if self.component2 is None:
+            mixture = Mixture((1.0,), (self.component1,))
+        else:
+            mixture = Mixture(
+                (1.0 - self.weight, self.weight),
+                (self.component1, self.component2),
+            )
+        object.__setattr__(self, "_mixture", mixture)
+
+    @classmethod
+    def _from_mixture(cls: type[ModelT], mixture: Mixture) -> ModelT:
+        """The model of a fitted mixture of one or two components.
+
+        A mixture EM collapsed to one component becomes
+        ``cls(0.0, first, None)``.
+        """
+        if len(mixture.components) == 1:
+            return cls(0.0, mixture.components[0], None)
+        return cls(
+            float(mixture.weights[1]),
+            mixture.components[0],
+            mixture.components[1],
+        )
+
+    @property
+    def mixture(self) -> Mixture:
+        return self._mixture
+
+    @property
+    def is_collapsed(self) -> bool:
+        """True when the model is effectively one component."""
+        return self.component2 is None or self.weight == 0.0
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return self._mixture.pdf(x)
+
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
+        return self._mixture.logpdf(x)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return self._mixture.cdf(x)
+
+    def ppf(self, q: np.ndarray) -> np.ndarray:
+        return self._mixture.ppf(q)
+
+    def rvs(
+        self, size: int, rng: np.random.Generator | int | None = None
+    ) -> np.ndarray:
+        return self._mixture.rvs(size, rng=rng)
+
+    def moments(self) -> MomentSummary:
+        return self._mixture.moments()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from repro.errors import FittingError, ParameterError, raise_first
-from repro.models.base import TimingModel, _from_mixture, register_model
+from repro.models.base import TimingModel, TwoComponentModel, register_model
 from repro.models.lvf import LVFModel, _lvf_from_direct
 from repro.stats.em import (
     ComponentFamily,
@@ -39,7 +39,7 @@ from repro.stats.em import (
     fit_mixture_em_multistart,
 )
 from repro.stats.mixtures import Mixture
-from repro.stats.moments import MomentSummary, _weighted_moments_rows
+from repro.stats.moments import _weighted_moments_rows
 from repro.stats.skew_normal import SkewNormal, _moments_to_params_rows
 from repro.stats.workspace import Workspace
 
@@ -137,13 +137,13 @@ SKEW_NORMAL_FAMILY = ComponentFamily(
 
 @register_model
 @dataclass(frozen=True, repr=False)
-class LVF2Model(TimingModel):
+class LVF2Model(TwoComponentModel):
     """Weighted pair of skew-normals, the LVF2 distribution (Eq. 4).
 
     Attributes:
         weight: Mixing weight ``lambda`` of the second component
             (``ocv_weight2`` in the Liberty extension).
-        component1: First skew-normal as an LVF moment triple.
+        component1: First skew-normal as an :class:`LVFModel` triple.
         component2: Second skew-normal, or ``None`` for a collapsed /
             plain-LVF model (``lambda = 0``, Eq. 10).
         nominal: Optional nominal corner value carried through to the
@@ -152,29 +152,7 @@ class LVF2Model(TimingModel):
 
     name = "LVF2"
 
-    weight: float
-    component1: LVFModel
-    component2: LVFModel | None = None
     nominal: float | None = None
-    _mixture: Mixture = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ParameterError(
-                f"weight must lie in [0, 1], got {self.weight}"
-            )
-        if self.component2 is None and self.weight != 0.0:
-            raise ParameterError(
-                "weight must be 0 when the second component is absent"
-            )
-        if self.component2 is None:
-            mixture = Mixture((1.0,), (self.component1,))
-        else:
-            mixture = Mixture(
-                (1.0 - self.weight, self.weight),
-                (self.component1, self.component2),
-            )
-        object.__setattr__(self, "_mixture", mixture)
 
     # ------------------------------------------------------------------
     # Fitting
@@ -260,13 +238,9 @@ class LVF2Model(TimingModel):
         results: "list[LVF2Model | Exception | None]" = [None] * n_points
 
         warms: list[Mixture | None] = [None] * n_points
-        splits = _kmeans_starts(stack, 2, config)
+        splits = _kmeans_starts(stack, config)
         gaussian_results = fit_mixture_em_batch(
-            stack,
-            GAUSSIAN_FAMILY,
-            n_components=2,
-            config=config,
-            initials=splits,
+            stack, GAUSSIAN_FAMILY, config=config, initials=splits
         )
         for p, gaussian in enumerate(gaussian_results):
             if isinstance(gaussian, FittingError):
@@ -274,7 +248,7 @@ class LVF2Model(TimingModel):
             if isinstance(gaussian, Exception):
                 results[p] = gaussian
                 continue
-            if gaussian.mixture.n_components != 2:
+            if gaussian.collapsed:
                 continue
             try:
                 components = tuple(
@@ -289,7 +263,6 @@ class LVF2Model(TimingModel):
         fits = fit_mixture_em_multistart(
             stack[live],
             SKEW_NORMAL_FAMILY,
-            2,
             config=config,
             splits=[splits[p] for p in live],
             extra_initials=[warms[p] for p in live],
@@ -299,7 +272,7 @@ class LVF2Model(TimingModel):
                 results[p] = best
                 continue
             try:
-                model = _from_mixture(cls, best.mixture)
+                model = cls._from_mixture(best.mixture)
                 if refine == "mle" and not model.is_collapsed:
                     model = model.refine_mle(stack[p])
                 results[p] = model
@@ -391,15 +364,6 @@ class LVF2Model(TimingModel):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def mixture(self) -> Mixture:
-        return self._mixture
-
-    @property
-    def is_collapsed(self) -> bool:
-        """True when the model is effectively a plain LVF (Eq. 10)."""
-        return self.component2 is None or self.weight == 0.0
-
     def to_lvf(self) -> LVFModel:
         """Project to the backward-compatible LVF triple.
 
@@ -413,26 +377,6 @@ class LVF2Model(TimingModel):
         return LVFModel(
             summary.mean, summary.std, summary.skewness, nominal=self.nominal
         )
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return self._mixture.pdf(x)
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        return self._mixture.logpdf(x)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        return self._mixture.cdf(x)
-
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        return self._mixture.ppf(q)
-
-    def rvs(
-        self, size: int, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        return self._mixture.rvs(size, rng=rng)
-
-    def moments(self) -> MomentSummary:
-        return self._mixture.moments()
 
     @property
     def n_parameters(self) -> int:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ParameterError, raise_first
-from repro.models.base import TimingModel, _from_mixture, register_model
+from repro.errors import raise_first
+from repro.models.base import TwoComponentModel, register_model
 from repro.models.gaussian import GaussianModel
 from repro.stats.em import (
     ComponentFamily,
@@ -24,8 +24,7 @@ from repro.stats.em import (
     _single_row,
     fit_mixture_em_multistart,
 )
-from repro.stats.mixtures import Mixture
-from repro.stats.moments import MomentSummary, _weighted_moments_rows
+from repro.stats.moments import _weighted_moments_rows
 from repro.stats.workspace import Workspace
 
 __all__ = ["Norm2Model", "GAUSSIAN_FAMILY"]
@@ -99,40 +98,17 @@ GAUSSIAN_FAMILY = ComponentFamily(
 
 @register_model
 @dataclass(frozen=True, repr=False)
-class Norm2Model(TimingModel):
+class Norm2Model(TwoComponentModel):
     """Weighted pair of Gaussians ``(1-lambda) N1 + lambda N2``.
 
     Attributes:
         weight: Mixing weight ``lambda`` of the second component.
-        component1: First (lower-mean) Gaussian.
+        component1: First (lower-mean) :class:`GaussianModel`.
         component2: Second Gaussian, or ``None`` when the fit collapsed
             to a single component.
     """
 
     name = "Norm2"
-
-    weight: float
-    component1: GaussianModel
-    component2: GaussianModel | None = None
-    _mixture: Mixture = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ParameterError(
-                f"weight must lie in [0, 1], got {self.weight}"
-            )
-        if self.component2 is None and self.weight != 0.0:
-            raise ParameterError(
-                "weight must be 0 when the second component is absent"
-            )
-        if self.component2 is None:
-            mixture = Mixture((1.0,), (self.component1,))
-        else:
-            mixture = Mixture(
-                (1.0 - self.weight, self.weight),
-                (self.component1, self.component2),
-            )
-        object.__setattr__(self, "_mixture", mixture)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -175,50 +151,18 @@ class Norm2Model(TimingModel):
         """
         models: "list[Norm2Model | Exception]" = []
         for best in fit_mixture_em_multistart(
-            samples,
-            GAUSSIAN_FAMILY,
-            n_components=2,
-            config=config,
+            samples, GAUSSIAN_FAMILY, config=config
         ):
             if isinstance(best, Exception):
                 models.append(best)
                 continue
             try:
-                models.append(_from_mixture(cls, best.mixture))
+                models.append(cls._from_mixture(best.mixture))
             except Exception as error:  # noqa: BLE001 — row error
                 models.append(error)
         return models
 
     # ------------------------------------------------------------------
-    @property
-    def mixture(self) -> Mixture:
-        return self._mixture
-
-    @property
-    def is_collapsed(self) -> bool:
-        """True when the fit degenerated to a single Gaussian."""
-        return self.component2 is None or self.weight == 0.0
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return self._mixture.pdf(x)
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        return self._mixture.logpdf(x)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        return self._mixture.cdf(x)
-
-    def ppf(self, q: np.ndarray) -> np.ndarray:
-        return self._mixture.ppf(q)
-
-    def rvs(
-        self, size: int, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
-        return self._mixture.rvs(size, rng=rng)
-
-    def moments(self) -> MomentSummary:
-        return self._mixture.moments()
-
     @property
     def n_parameters(self) -> int:
         return 2 if self.is_collapsed else 5

@@ -25,9 +25,8 @@ stamps onto every span is what separates the two) and produces one
   consecutive claims (a long gap means the worker starved waiting on
   live foreign claims);
 - **stragglers / critical path** — the top-N slowest work units
-  (``pool.item`` spans, or ``characterize.point`` /
-  ``characterize.arc`` in a serial trace) and the worker whose
-  lifetime bounds the pool's wall clock.
+  (``pool.item`` spans, or ``characterize.arc`` in a serial trace)
+  and the worker whose lifetime bounds the pool's wall clock.
 
 Everything here is read-side only: no imports beyond the telemetry
 package itself, no filesystem access — callers load the trace with
@@ -79,12 +78,6 @@ _PHASE_PREFIXES: tuple[tuple[str, str], ...] = (
 PHASES: tuple[str, ...] = tuple(
     dict.fromkeys([label for _, label in _PHASE_PREFIXES] + ["other"])
 )
-
-#: Span names that count as one schedulable work unit in pool reports.
-_UNIT_NAMES = frozenset(
-    {"pool.item", "characterize.point", "characterize.arc"}
-)
-
 
 def phase_of(name: str) -> str:
     """Phase label for a span name (first matching prefix wins)."""
@@ -161,20 +154,17 @@ class UnitReport:
 
     Attributes:
         label: The unit's ``label`` tag (or span name as fallback).
-        group: Assembly-group tag, empty for pin-granularity units.
         worker: Merge label of the executing worker ("" when serial).
         wall: Unit wall seconds.
     """
 
     label: str
-    group: str
     worker: str
     wall: float
 
     def to_dict(self) -> dict:
         return {
             "label": self.label,
-            "group": self.group,
             "worker": self.worker,
             "wall_s": self.wall,
         }
@@ -251,11 +241,10 @@ def _unit_spans(spans: list[SpanRecord]) -> list[SpanRecord]:
     """The work-unit spans of a trace, preferring the finest kind.
 
     A merged pool trace has ``pool.item`` spans; a serial trace only
-    has ``characterize.point`` (grid granularity) or
-    ``characterize.arc``.  Only the first kind present is used, so a
-    pool trace does not double-report the nested serial spans.
+    has ``characterize.arc``.  Only the first kind present is used, so
+    a pool trace does not double-report the nested serial spans.
     """
-    for name in ("pool.item", "characterize.point", "characterize.arc"):
+    for name in ("pool.item", "characterize.arc"):
         units = [span for span in spans if span.name == name]
         if units:
             return units
@@ -360,7 +349,6 @@ def analyze_trace(data: TraceData, *, top: int = 10) -> TraceAnalysis:
     analysis.stragglers = [
         UnitReport(
             label=_unit_label(span),
-            group=str(span.tags.get("group", "")),
             worker=_worker_of(span),
             wall=span.wall,
         )
@@ -425,10 +413,7 @@ def render_analysis(analysis: TraceAnalysis, *, top: int = 10) -> str:
         lines.append(f"slowest work units (top {top}):")
         for unit in analysis.stragglers[:top]:
             where = f" [{unit.worker}]" if unit.worker else ""
-            group = f" group={unit.group}" if unit.group else ""
-            lines.append(
-                f"  {unit.wall:9.4f}s  {unit.label}{group}{where}"
-            )
+            lines.append(f"  {unit.wall:9.4f}s  {unit.label}{where}")
     if analysis.waterfall:
         t0 = min(span.start for span in analysis.waterfall)
         span_end = max(

@@ -3,14 +3,15 @@
 Implements the fitting loop of paper §3.2: latent responsibilities
 (Eq. 6) in the E-step, component re-estimation in the M-step (Eqs. 8-9),
 initialised by k-means partitioning plus per-group method-of-moments
-estimates.  The driver is component-family agnostic: the same loop fits
-LVF2 (skew-normal components) and Norm2 (Gaussian components), the two
-mixture models compared in the paper.  There is one engine,
+estimates.  Every mixture has two components (Eq. 4).  The driver is
+component-family agnostic: the same loop fits LVF2 (skew-normal
+components) and Norm2 (Gaussian components), the two mixture models
+compared in the paper.  There is one engine,
 :func:`fit_mixture_em_batch`, which fits a stack of sample rows in
 lockstep; a scalar fit is a batch of one.  Inside the loop a block's
-mixtures are plain arrays (weights, component parameter lanes, live
-lane counts and collapse flags); mixture and component objects are
-built only where a row starts and where it finishes.
+mixtures are plain arrays (weights and component parameter lanes);
+mixture and component objects are built only where a row starts and
+where it finishes.
 
 The M-step is pluggable.  The default family implementations use
 weighted method-of-moments updates — fast, closed-form and stable, but
@@ -52,13 +53,17 @@ __all__ = [
     "fit_mixture_em_multistart",
 ]
 
+#: Components per mixture: the paper's model is a two-component mixture
+#: (Eq. 4), and so is every fit here.
+_COMPONENTS = 2
+
 
 @dataclass(frozen=True)
 class ComponentFamily:
     """A parametric family usable as mixture components.
 
     The lockstep EM loop holds each component as a *lane*: ``P``
-    floats, one row of a ``(rows, width, P)`` parameter array.
+    floats, one row of a ``(rows, 2, P)`` parameter array.
     ``params`` and ``build`` convert between lanes and components where
     a row starts and where it finishes; every iteration in between
     runs on the arrays.
@@ -110,8 +115,8 @@ class EMConfig:
         tol: Relative log-likelihood improvement below which the loop
             is declared converged.
         min_weight: A component whose weight falls below this value is
-            considered collapsed; the fit degrades gracefully to fewer
-            components rather than chasing a degenerate optimum.
+            considered collapsed; the fit degrades gracefully to one
+            component rather than chasing a degenerate optimum.
         kmeans_restarts: Restarts for the k-means initialiser.
         seed: Seed forwarded to k-means seeding.
         require_convergence: Raise instead of returning a best-effort
@@ -135,8 +140,9 @@ class EMResult:
         loglik: Final observed-data log-likelihood (Eq. 5).
         n_iter: E/M iterations performed.
         converged: Whether the tolerance criterion was met.
-        collapsed: True when a component degenerated and the result has
-            fewer effective components than requested.
+        collapsed: True when the fit fell back to a single component
+            (a component below ``min_weight`` or a one-component
+            start).
         history: Log-likelihood trace, one entry per iteration.
     """
 
@@ -211,12 +217,11 @@ def _as_stack(samples: np.ndarray) -> np.ndarray:
 def fit_mixture_em(
     samples: np.ndarray,
     family: ComponentFamily,
-    n_components: int = 2,
     *,
     config: EMConfig | None = None,
     initial: Mixture | Sequence[Any] | None = None,
 ) -> EMResult:
-    """Fit an ``n_components`` mixture of ``family`` by EM.
+    """Fit a two-component mixture of ``family`` by EM.
 
     A batch of one: the samples run as the single row of
     :func:`fit_mixture_em_batch`, the one EM engine.
@@ -226,17 +231,19 @@ def fit_mixture_em(
             paper's characterisation flow).
         family: Component family (skew-normal for LVF2, normal for
             Norm2).
-        n_components: Number of mixture components (paper uses 2).
         config: Loop configuration; defaults to :class:`EMConfig`.
         initial: Optional warm start — either a ready mixture or a
-            sequence of components (equal initial weights).
+            sequence of components (equal initial weights) — of at
+            most two components; one component means the
+            single-component fit.
 
     Returns:
         An :class:`EMResult`; ``result.mixture`` components are sorted
         by ascending mean for deterministic downstream handling.
 
     Raises:
-        FittingError: For degenerate inputs.
+        FittingError: For degenerate inputs and for a warm start of
+            three or more components.
         ConvergenceWarningError: Only when
             ``config.require_convergence`` is set and the cap is hit.
     """
@@ -244,7 +251,6 @@ def fit_mixture_em(
         fit_mixture_em_batch(
             _single_row(samples, "fit_mixture_em", "fit_mixture_em_batch"),
             family,
-            n_components,
             config=config,
             initials=[initial],
         )
@@ -266,29 +272,28 @@ def _per_row(
     return entries
 
 
-#: Bytes of one ``(rows, n_components, n_samples)`` float64 stack in a
-#: lockstep block.  The loop keeps about a dozen such stacks live (its
+#: Bytes of one ``(rows, 2, n_samples)`` float64 stack in a lockstep
+#: block.  The loop keeps about a dozen such stacks live (its
 #: own log rows, responsibilities and data, plus the density and
 #: weighted-moment temporaries), so the budget is what keeps a block's
 #: working set near the cache.  Chosen by measurement (DESIGN §14).
 _BLOCK_BUDGET = 512 * 1024
 
 
-def _block_rows(n_components: int, n_samples: int) -> int:
+def _block_rows(n_samples: int) -> int:
     """Stack rows per lockstep block under :data:`_BLOCK_BUDGET`."""
-    return max(1, _BLOCK_BUDGET // max(1, n_components * n_samples * 8))
+    return max(1, _BLOCK_BUDGET // max(1, _COMPONENTS * n_samples * 8))
 
 
 def fit_mixture_em_batch(
     samples: np.ndarray,
     family: ComponentFamily,
-    n_components: int = 2,
     *,
     config: EMConfig | None = None,
     initials: Sequence[Mixture | Sequence[Any] | KMeansResult | None]
     | None = None,
 ) -> list[EMResult | Exception]:
-    """Fit one mixture per row of a ``(n_points, n_samples)`` stack.
+    """Fit one two-component mixture per row of a stack.
 
     The EM engine: every fit, scalar ones included (as a batch of
     one), runs here.  The E-step (log densities, responsibilities,
@@ -302,12 +307,11 @@ def fit_mixture_em_batch(
     usable cores (:func:`repro.runtime.fanout.run_blocks`), which
     changes no row's result.
 
-    Every row stays in lockstep until it finishes.  A row with fewer
-    live components than its lanes — a k-means split that seeded too
-    few, or a component pruned below ``min_weight`` — carries dead
-    lanes (see :func:`_fit_block`); a row that collapses to one
-    component gets the single-component fit.  A row that fails
-    validation or k-means, or whose M-step or mixture update raises
+    Every row stays in lockstep until it finishes.  A row whose start
+    has one component (a k-means split that seeded one group) or that
+    prunes a component below ``min_weight`` gets the single-component
+    fit.  A row that fails validation or k-means, whose start has three
+    or more components, or whose M-step or mixture update raises
     anything but :class:`FittingError`, keeps that exception as its
     result.
 
@@ -315,7 +319,6 @@ def fit_mixture_em_batch(
         samples: 2-D stack, one row of observations per grid point.
         family: Component family (its ``logpdf_batch`` /
             ``fit_weighted_batch`` hooks drive the loop).
-        n_components: Mixture size per row.
         config: Loop configuration shared by all rows.
         initials: Optional per-row starts — a ready mixture, a
             sequence of components (equal initial weights) or a
@@ -333,19 +336,17 @@ def fit_mixture_em_batch(
     n_points = stack.shape[0]
     initial_list = _per_row(initials, n_points, "initials")
     results: list[EMResult | Exception | None] = [None] * n_points
-    block_rows = _block_rows(n_components, stack.shape[1])
+    block_rows = _block_rows(stack.shape[1])
 
     with telemetry.span(
         "em.fit_batch",
         family=family.name,
-        n_components=n_components,
         n_points=n_points,
         blocks=len(range(0, n_points, block_rows)),
         block_rows=block_rows,
     ):
         _fit_mixture_em_batch_impl(
-            stack, family, n_components, cfg, initial_list, results,
-            block_rows,
+            stack, family, cfg, initial_list, results, block_rows
         )
     for outcome in results:
         if not isinstance(outcome, EMResult):
@@ -363,7 +364,6 @@ def fit_mixture_em_batch(
 def _fit_mixture_em_batch_impl(
     stack: np.ndarray,
     family: ComponentFamily,
-    n_components: int,
     cfg: EMConfig,
     initial_list: list[Mixture | Sequence[Any] | KMeansResult | None],
     results: list[EMResult | Exception | None],
@@ -375,7 +375,7 @@ def _fit_mixture_em_batch_impl(
     # --- per-row validation ------------------------------------------
     active: list[int] = []
     for p in range(n_points):
-        error = _row_error(stack[p], n_components)
+        error = _row_error(stack[p])
         if error is None:
             active.append(p)
         else:
@@ -385,7 +385,6 @@ def _fit_mixture_em_batch_impl(
     seed_results = _kmeans_splits(
         stack,
         [p for p in active if initial_list[p] is None],
-        n_components,
         cfg,
     )
     mixtures: dict[int, Mixture] = {}
@@ -406,13 +405,19 @@ def _fit_mixture_em_batch_impl(
                     tuple(1.0 / count for _ in range(count)),
                     tuple(initial),
                 )
-            if mixture.n_components == 1:
+            count = len(mixture.weights)
+            if count == 1:
                 # Nothing to iterate: the single-component fit.
                 single = _collapse(stack[p], family)
                 results[p] = EMResult(
                     single, single.loglik(stack[p]), 0, True, collapsed=True
                 )
                 continue
+            if count > _COMPONENTS:
+                raise FittingError(
+                    f"initial mixture has {count} components; "
+                    f"EM fits {_COMPONENTS}"
+                )
         except Exception as error:
             results[p] = error
             continue
@@ -425,12 +430,7 @@ def _fit_mixture_em_batch_impl(
     # --- lockstep E/M loop, one block of stack rows at a time ---------
     # Rows are independent, so the split cannot change any row's
     # result; it keeps each block's stacks cache-sized, and the blocks
-    # of one call run on every usable core (``runtime.fanout``).  Every
-    # row is ``width`` lanes wide: a row seeded with fewer components
-    # pads dead lanes.
-    width = max(
-        n_components, max(mixtures[p].n_components for p in batch_rows)
-    )
+    # of one call run on every usable core (``runtime.fanout``).
     spans = [
         [p for p in batch_rows if start <= p < start + block_rows]
         for start in range(0, n_points, block_rows)
@@ -439,9 +439,7 @@ def _fit_mixture_em_batch_impl(
     payloads = [
         _Block(
             stack[block],
-            *_lanes(
-                [mixtures[p] for p in block], family, width, n_components
-            ),
+            *_lanes([mixtures[p] for p in block], family),
             family,
             cfg,
         )
@@ -455,44 +453,28 @@ def _fit_mixture_em_batch_impl(
 
 
 def _lanes(
-    mixtures: list[Mixture],
-    family: ComponentFamily,
-    width: int,
-    n_components: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Initial mixtures as lockstep state.
-
-    Returns the weights, lanes, live-lane counts and collapse flags of
-    a :class:`_Block`.  A dead lane weighs 0 and holds a copy of the
-    row's first lane: the loop computes its density and then masks it
-    out, so it only has to be valid.
-    """
-    weights = np.zeros((len(mixtures), width))
-    lanes = []
-    for a, mixture in enumerate(mixtures):
-        row = [family.params(c) for c in mixture.components]
-        lanes.append(row + row[:1] * (width - len(row)))
-        weights[a, : len(row)] = mixture.weights
-    counts = np.array([m.n_components for m in mixtures], dtype=np.intp)
-    lanes_array = np.array(lanes, dtype=float)
-    return weights, lanes_array, counts, counts < n_components
+    mixtures: list[Mixture], family: ComponentFamily
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-component mixtures as a :class:`_Block`'s weights and lanes."""
+    weights = np.array([m.weights for m in mixtures], dtype=float)
+    lanes = np.array(
+        [[family.params(c) for c in m.components] for m in mixtures],
+        dtype=float,
+    )
+    return weights, lanes
 
 
-def _row_error(row: np.ndarray, n_components: int) -> FittingError | None:
-    """Why ``row`` cannot be fitted with ``n_components``, or ``None``."""
+def _row_error(row: np.ndarray) -> FittingError | None:
+    """Why ``row`` cannot be fitted, or ``None``."""
     try:
-        validate_samples(row, minimum=max(16, 8 * n_components))
-        if n_components < 1:
-            raise FittingError(
-                f"n_components must be >= 1, got {n_components}"
-            )
+        validate_samples(row, minimum=16)
     except FittingError as error:
         return error
     return None
 
 
 def _kmeans_starts(
-    stack: np.ndarray, n_components: int, config: EMConfig | None
+    stack: np.ndarray, config: EMConfig | None
 ) -> list[KMeansResult | None]:
     """Each fittable row's k-means split, to share between fits.
 
@@ -505,9 +487,8 @@ def _kmeans_starts(
         [
             p
             for p in range(stack.shape[0])
-            if _row_error(stack[p], n_components) is None
+            if _row_error(stack[p]) is None
         ],
-        n_components,
         config or EMConfig(),
     )
     return [
@@ -517,10 +498,7 @@ def _kmeans_starts(
 
 
 def _kmeans_splits(
-    stack: np.ndarray,
-    rows: list[int],
-    n_components: int,
-    cfg: EMConfig,
+    stack: np.ndarray, rows: list[int], cfg: EMConfig
 ) -> dict[int, KMeansResult | FittingError]:
     """The k-means split of each stack row in ``rows``, keyed by row."""
     if not rows:
@@ -532,29 +510,11 @@ def _kmeans_splits(
     ):
         batch = kmeans_1d_batch(
             stack[np.asarray(rows, dtype=np.intp)],
-            n_components,
+            _COMPONENTS,
             n_restarts=cfg.kmeans_restarts,
             seed=cfg.seed,
         )
     return dict(zip(rows, batch))
-
-
-def _fold_lanes(lanes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.logaddexp.reduce(lanes, axis=1, out=out)``, bit for bit.
-
-    The reduce over the lane axis of a ``(rows, width, n_samples)``
-    stack is a sequential left fold; spelled out as one ``logaddexp``
-    per further lane it computes the same values, dead (``-inf``)
-    lanes included, at about two thirds of the cost.
-    """
-    width = lanes.shape[1]
-    if width == 1:
-        np.copyto(out, lanes[:, 0])
-        return out
-    np.logaddexp(lanes[:, 0], lanes[:, 1], out=out)
-    for k in range(2, width):
-        np.logaddexp(out, lanes[:, k], out=out)
-    return out
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
@@ -579,11 +539,8 @@ class _Block:
 
     Attributes:
         rows: ``(rows, n_samples)`` C-contiguous stack rows.
-        weights: ``(rows, width)`` initial weights; dead lanes weigh 0.
-        params: ``(rows, width, P)`` initial component lanes.
-        counts: ``(rows,)`` live lanes per row (at least two).
-        collapsed: ``(rows,)`` rows seeded with fewer components than
-            requested.
+        weights: ``(rows, 2)`` initial weights.
+        params: ``(rows, 2, P)`` initial component lanes.
         family: Component family.
         cfg: Loop configuration.
     """
@@ -591,8 +548,6 @@ class _Block:
     rows: np.ndarray
     weights: np.ndarray
     params: np.ndarray
-    counts: np.ndarray
-    collapsed: np.ndarray
     family: ComponentFamily
     cfg: EMConfig
 
@@ -603,64 +558,44 @@ def _valid_weights(weights: np.ndarray) -> np.ndarray:
     The loop's weights are responsibility means over their sum, never
     negative, so only the sum can fail the mixture's check (within
     ``1e-8`` of 1).  This one is stricter, so it holds whatever order
-    the sum takes.  A row that fails it builds its mixture
-    (:func:`_check_row`), which raises the exact error or accepts it.
+    the sum takes.  A row that fails it builds its mixture, which
+    raises the exact error or accepts it.
     """
     return np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9
-
-
-def _check_row(
-    weights: np.ndarray, lanes: np.ndarray, family: ComponentFamily
-) -> None:
-    """Raise what ``Mixture`` raises on one row's weights and lanes."""
-    if not _valid_weights(weights):
-        Mixture(
-            tuple(weights.tolist()),
-            tuple(family.build(lane) for lane in lanes.tolist()),
-        )
 
 
 def _fit_block(block: _Block) -> list[EMResult | Exception]:
     """Run the lockstep E/M loop over one block; one outcome per row.
 
     Every row finishes here with an :class:`EMResult` or the
-    exception its fit raised.  The ``(rows, width, n_samples)`` stacks
+    exception its fit raised.  The ``(rows, 2, n_samples)`` stacks
     live in one block-sized workspace and are filled in place; the
     ``a``-th live row is always the ``a``-th leading row, so every
     reduction runs over a C-contiguous leading-row view (DESIGN §14).
 
-    Each row's mixture is array state: its weights, its component
-    lanes and its live-lane count.  Objects are built only where a row
-    finishes, and for the rare lane or row the arrays do not decide
-    (see below).  A row's live components sit in its leading lanes;
-    the remaining lanes are dead.  A dead lane has weight exactly 0,
-    so its log row is all ``-inf``: it leaves the normaliser unchanged
-    (``logaddexp(x, -inf) == x``), its responsibility and weight are 0
-    (``x + 0.0 == x`` in the weight sum), and its M-step update is
-    discarded.  The live lanes therefore compute exactly what a fit of
-    just the live components computes.  (Where the normaliser itself
-    is ``-inf`` every lane's weight is NaN, live ones included, as in
-    a fit of the live components alone.)
-
-    A live lane the batched M-step flags runs the family's scalar
+    Each row's mixture is array state: its two weights and its two
+    component lanes.  Objects are built only where a row finishes,
+    and for the rare lane or row the arrays do not decide.  A lane
+    the batched M-step flags runs the family's scalar
     ``fit_weighted``: its component becomes the lane, a
     :class:`FittingError` keeps the previous lane, and any other error
     fails the row.  A row whose new weights fail :func:`_valid_weights`
     builds its mixture, which raises the row's error or accepts it.
+    A row with a component below ``min_weight`` gets the
+    single-component fit.
     """
     stack = block.rows
     family, cfg = block.family, block.cfg
     logpdf_batch = family.logpdf_batch
     n_rows, n_samples = stack.shape
-    _, width, n_params = block.params.shape
+    n_params = block.params.shape[2]
     results: list[EMResult | Exception | None] = [None] * n_rows
-    workspace = Workspace(n_rows * width, n_samples)
-    shape = (n_rows, width, n_samples)
-    # Component-interleaved layout: row ``a * width + k`` of the 2-D
-    # views is (point ``a``, lane ``k``), so both the density and the
-    # M-step calls see one flat stack and compaction moves whole
-    # points.
-    flat_rows = n_rows * width
+    flat_rows = n_rows * _COMPONENTS
+    workspace = Workspace(flat_rows, n_samples)
+    shape = (n_rows, _COMPONENTS, n_samples)
+    # Component-interleaved layout: row ``2 * a + k`` of the 2-D views
+    # is (point ``a``, lane ``k``), so both the density and the M-step
+    # calls see one flat stack and compaction moves whole points.
     data = workspace.take("em.data", flat_rows).reshape(shape)
     log_rows = workspace.take("em.log_rows", flat_rows).reshape(shape)
     responsibilities = workspace.take(
@@ -668,74 +603,71 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
     ).reshape(shape)
     log_norm = workspace.take("em.log_norm", n_rows)
     data[:] = stack[:, None, :]
-    lane_index = np.arange(width)
 
     def _log_rows(weights: np.ndarray, params: np.ndarray) -> np.ndarray:
         """Fill the live log rows and normaliser; return the logliks.
 
         ``math.log(weight)`` is a scalar constant and the broadcast add
         is elementwise, hence lane-identical to a per-component
-        ``log(w) + logpdf`` add.  The normaliser is a sequential left
-        fold over the lanes (:func:`_fold_lanes`); the outer sum is
-        pairwise per contiguous row.  The normaliser is kept for the
-        next E-step, which needs exactly it.
+        ``log(w) + logpdf`` add.  The normaliser is one ``logaddexp``
+        of the two lanes, bit-equal to ``np.logaddexp.reduce`` over
+        them; the outer sum is pairwise per contiguous row.  The
+        normaliser is kept for the next E-step, which needs exactly it.
         """
         alive = weights.shape[0]
+        flat_count = alive * _COMPONENTS
         densities = logpdf_batch(
-            params.reshape(alive * width, n_params),
-            data[:alive].reshape(alive * width, n_samples),
+            params.reshape(flat_count, n_params),
+            data[:alive].reshape(flat_count, n_samples),
             workspace,
         )
         flat_weights = weights.ravel()
         consts = np.array(
             [math.log(w) if w > 0.0 else 0.0 for w in flat_weights.tolist()]
         )
-        flat = log_rows[:alive].reshape(alive * width, n_samples)
+        flat = log_rows[:alive].reshape(flat_count, n_samples)
         np.add(consts[:, None], densities, out=flat)
         empty = ~(flat_weights > 0.0)
         if empty.any():
             # A zero-weight component contributes nothing: its row
             # stays at -inf.
             flat[empty] = -np.inf
-        norm = _fold_lanes(log_rows[:alive], log_norm[:alive])
+        norm = np.logaddexp(
+            log_rows[:alive, 0], log_rows[:alive, 1], out=log_norm[:alive]
+        )
         return np.sum(norm, axis=1)
 
     # Per-row state; entry ``a`` is the ``a``-th live row.
     idx = np.arange(n_rows)
     weights = block.weights
     params = block.params.copy()
-    counts = block.counts.copy()
-    collapsed = block.collapsed.copy()
     histories: list[list[float]] = [[] for _ in range(n_rows)]
     logliks = _log_rows(weights, params)
 
     def _retire(done: np.ndarray, *stacks: np.ndarray) -> None:
         """Drop the finished rows ``done`` from every per-row state."""
-        nonlocal idx, weights, params, counts, collapsed, logliks
+        nonlocal idx, weights, params, logliks
         keep = ~done
         _compact(keep, *stacks)
-        idx, weights, params, counts, collapsed, logliks = (
-            state[keep]
-            for state in (idx, weights, params, counts, collapsed, logliks)
+        idx, weights, params, logliks = (
+            state[keep] for state in (idx, weights, params, logliks)
+        )
+
+    def _mixture(a: int) -> Mixture:
+        """Row ``a``'s mixture; raises what ``Mixture`` raises on it."""
+        return Mixture(
+            tuple(weights[a].tolist()),
+            tuple(family.build(lane) for lane in params[a].tolist()),
         )
 
     def _finish(a: int, iteration: int, converged: bool, loglik: float):
         p = int(idx[a])
-        count = int(counts[a])
         try:
-            mixture = Mixture(
-                tuple(weights[a, :count].tolist()),
-                tuple(
-                    family.build(lane)
-                    for lane in params[a, :count].tolist()
-                ),
-            )
             results[p] = EMResult(
-                mixture.sorted_by_mean(),
+                _mixture(a).sorted_by_mean(),
                 loglik,
                 iteration,
                 converged,
-                collapsed=bool(collapsed[a]),
                 history=tuple(histories[p]),
             )
         except Exception as error:  # captured per row
@@ -750,81 +682,57 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
         np.subtract(log_rows[:alive], log_norm[:alive, None, :], out=resp)
         np.exp(resp, out=resp)
         masses = resp.mean(axis=2)
-        live = lane_index < counts[:, None]
-        # Dead lanes weigh 0 and are never pruned again.
-        low = (masses < cfg.min_weight) & live
 
-        # A component below ``min_weight`` is pruned from its row: the
-        # row renormalises the survivors' responsibilities and goes on
-        # with one more dead lane, or collapses to one component.
+        # A component below ``min_weight`` collapses its row to the
+        # single-component fit.
+        low = (masses < cfg.min_weight).any(axis=1)
         if low.any():
-            done = np.zeros(alive, dtype=bool)
-            for a in np.flatnonzero(low.any(axis=1)).tolist():
+            for a in np.flatnonzero(low).tolist():
                 p = int(idx[a])
-                count = int(counts[a])
-                keep = masses[a, :count] >= cfg.min_weight
-                kept_count = int(keep.sum())
                 try:
-                    if kept_count <= 1:
-                        single = _collapse(stack[p], family)
-                        results[p] = EMResult(
-                            single,
-                            single.loglik(stack[p]),
-                            iteration,
-                            True,
-                            collapsed=True,
-                            history=tuple(histories[p]),
-                        )
-                        done[a] = True
-                        continue
-                    kept = resp[a, :count][keep]
-                    kept = kept / kept.sum(axis=0, keepdims=True)
-                    kept_masses = kept.mean(axis=1)
-                    kept_lanes = params[a, :count][keep]
-                    _check_row(
-                        kept_masses / kept_masses.sum(), kept_lanes, family
+                    single = _collapse(stack[p], family)
+                    results[p] = EMResult(
+                        single,
+                        single.loglik(stack[p]),
+                        iteration,
+                        True,
+                        collapsed=True,
+                        history=tuple(histories[p]),
                     )
                 except Exception as error:  # captured per row
                     results[p] = error
-                    done[a] = True
-                    continue
-                resp[a, :kept_count] = kept
-                masses[a, :kept_count] = kept_masses
-                masses[a, kept_count:] = 0.0
-                params[a, :kept_count] = kept_lanes
-                counts[a] = kept_count
-                collapsed[a] = True
-            if done.any():
-                masses = masses[~done]
-                _retire(done, data, responsibilities)
-                if not idx.size:
-                    break
-                alive = idx.size
-            live = lane_index < counts[:, None]
+            masses = masses[~low]
+            _retire(low, data, responsibilities)
+            if not idx.size:
+                break
+            alive = idx.size
 
         # One weighted-moment call over all (row, lane) pairs: every
         # row of the flat stack is an independent lane/row-reduction
         # computation, so each pair's update is bit-identical to a
         # per-component call.
-        flat_data = data[:alive].reshape(alive * width, n_samples)
-        flat_resp = responsibilities[:alive].reshape(alive * width, n_samples)
+        flat_data = data[:alive].reshape(alive * _COMPONENTS, n_samples)
+        flat_resp = responsibilities[:alive].reshape(
+            alive * _COMPONENTS, n_samples
+        )
         updates, scalar = family.fit_weighted_batch(
             flat_data, flat_resp, workspace
         )
-        flagged = scalar.reshape(alive, width) & live
+        flagged = scalar.reshape(alive, _COMPONENTS)
         np.copyto(
             params,
-            updates.reshape(alive, width, n_params),
-            where=(live & ~flagged)[:, :, None],
+            updates.reshape(alive, _COMPONENTS, n_params),
+            where=~flagged[:, :, None],
         )
         done = np.zeros(alive, dtype=bool)
         if flagged.any():
             for a, k in zip(*(axis.tolist() for axis in np.nonzero(flagged))):
                 if done[a]:
                     continue
+                lane = _COMPONENTS * a + k
                 try:
                     component = family.fit_weighted(
-                        flat_data[a * width + k], flat_resp[a * width + k]
+                        flat_data[lane], flat_resp[lane]
                     )
                 except FittingError:
                     # A degenerate weighted update keeps the previous
@@ -836,17 +744,15 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
                     continue
                 params[a, k] = family.params(component)
         # One batched normalize: the last-axis row reduce of the
-        # C-contiguous (A, width) array is the same sequential/pairwise
-        # sum as a 1-D ``sum()`` of the row, and the broadcast divide
-        # is elementwise, so each row is bit-identical to
-        # ``weights / weights.sum()``.  Dead lanes stay exactly 0.
+        # C-contiguous (A, 2) array is the same sum as a 1-D ``sum()``
+        # of the row, and the broadcast divide is elementwise, so each
+        # row is bit-identical to ``weights / weights.sum()``.
         weights = masses / masses.sum(axis=1)[:, None]
         valid = _valid_weights(weights)
         if not valid.all():
             for a in np.flatnonzero(~valid & ~done).tolist():
-                count = int(counts[a])
                 try:
-                    _check_row(weights[a, :count], params[a, :count], family)
+                    _mixture(a)
                 except Exception as error:  # captured per row
                     results[int(idx[a])] = error
                     done[a] = True
@@ -914,7 +820,6 @@ def concentric_initial(
 def fit_mixture_em_multistart(
     samples: np.ndarray,
     family: ComponentFamily,
-    n_components: int = 2,
     *,
     config: EMConfig | None = None,
     splits: Sequence[KMeansResult | None] | None = None,
@@ -923,10 +828,10 @@ def fit_mixture_em_multistart(
     """Multi-start EM per row: k-means, concentric, then a caller start.
 
     Each row of the ``(n_points, n_samples)`` stack is fitted from its
-    k-means seed, then (for two components) from its
-    :func:`concentric_initial` seed, then from its ``extra_initials``
-    entry when that is not ``None``; the row keeps the first start
-    with the highest likelihood, in that order.  This is what makes
+    k-means seed, then from its :func:`concentric_initial` seed, then
+    from its ``extra_initials`` entry when that is not ``None``; the
+    row keeps the first start with the highest likelihood, in that
+    order.  This is what makes
     LVF2 dominate Norm2 on the paper's Minor Saddle / Kurtosis
     scenarios, where the default k-means basin is not the global one.
 
@@ -937,7 +842,6 @@ def fit_mixture_em_multistart(
     Args:
         samples: 2-D stack, one row of observations per point.
         family: Component family.
-        n_components: Mixture size per row.
         config: Loop configuration shared by every start.
         splits: Optional per-row precomputed k-means split for the
             first start (or ``None`` to k-means-seed that row).
@@ -961,7 +865,6 @@ def fit_mixture_em_multistart(
         outcomes = fit_mixture_em_batch(
             stack if len(rows) == n_points else stack[rows],
             family,
-            n_components,
             config=config,
             initials=list(starts.values()),
         )
@@ -972,19 +875,18 @@ def fit_mixture_em_multistart(
                 candidates[p].append(outcome)
 
     sweep(dict(enumerate(split_list)))
-    if n_components == 2:
-        concentric: dict[int, Mixture | KMeansResult | None] = {}
-        for p in range(n_points):
-            if results[p] is not None:
-                continue
-            try:
-                start = concentric_initial(stack[p], family)
-            except Exception as error:  # captured per row
-                results[p] = error
-                continue
-            if start is not None:
-                concentric[p] = start
-        sweep(concentric)
+    concentric: dict[int, Mixture | KMeansResult | None] = {}
+    for p in range(n_points):
+        if results[p] is not None:
+            continue
+        try:
+            start = concentric_initial(stack[p], family)
+        except Exception as error:  # captured per row
+            results[p] = error
+            continue
+        if start is not None:
+            concentric[p] = start
+    sweep(concentric)
     sweep(
         {
             p: start

@@ -212,7 +212,7 @@ class TestStragglers:
         spans = [
             span("pool.item", 1, wall=4.0, tags={"label": "outer"}),
             span(
-                "characterize.point",
+                "characterize.arc",
                 2,
                 parent_id=1,
                 wall=3.0,

@@ -13,6 +13,7 @@ from repro.stats.em import (
     EMConfig,
     concentric_initial,
     fit_mixture_em,
+    fit_mixture_em_batch,
     fit_mixture_em_multistart,
 )
 from repro.stats.mixtures import Mixture
@@ -30,7 +31,7 @@ class TestFitMixtureEM:
             ),
         )
         samples = truth.rvs(8000, rng=rng)
-        result = fit_mixture_em(samples, GAUSSIAN_FAMILY, 2)
+        result = fit_mixture_em(samples, GAUSSIAN_FAMILY)
         mixture = result.mixture
         assert mixture.n_components == 2
         assert mixture.weights[0] == pytest.approx(0.7, abs=0.03)
@@ -39,21 +40,21 @@ class TestFitMixtureEM:
         assert means[1] == pytest.approx(5.0, abs=0.1)
 
     def test_recovers_sn_mixture_with_skews(self, bimodal_samples):
-        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY, 2)
+        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY)
         mixture = result.mixture
         skews = [c.moments().skewness for c in mixture.components]
         assert skews[0] > 0.2  # true +0.6
         assert skews[1] < 0.0  # true -0.4
 
     def test_loglik_nondecreasing(self, bimodal_samples):
-        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY, 2)
+        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY)
         history = np.asarray(result.history)
         # Weighted-moment M-steps are conditional maximisations; allow
         # tiny numerical wobble but no real decrease.
         assert np.all(np.diff(history) > -1e-6 * np.abs(history[:-1]))
 
     def test_converged_flag_set(self, bimodal_samples):
-        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY, 2)
+        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY)
         assert result.converged
         assert result.n_iter >= 1
 
@@ -62,13 +63,13 @@ class TestFitMixtureEM:
         # 2 overlapping components, but must never crash, and the
         # result must integrate to a sane distribution.
         samples = rng.normal(0.0, 1.0, 4000)
-        result = fit_mixture_em(samples, GAUSSIAN_FAMILY, 2)
+        result = fit_mixture_em(samples, GAUSSIAN_FAMILY)
         summary = result.mixture.moments()
         assert summary.mean == pytest.approx(0.0, abs=0.05)
         assert summary.std == pytest.approx(1.0, rel=0.05)
 
     def test_components_sorted_by_mean(self, bimodal_samples):
-        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY, 2)
+        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY)
         means = [
             c.moments().mean for c in result.mixture.components
         ]
@@ -83,27 +84,60 @@ class TestFitMixtureEM:
             ),
         )
         result = fit_mixture_em(
-            bimodal_samples, SKEW_NORMAL_FAMILY, 2, initial=initial
+            bimodal_samples, SKEW_NORMAL_FAMILY, initial=initial
         )
         assert result.mixture.n_components == 2
 
     def test_rejects_stacked_samples(self):
         with pytest.raises(FittingError, match="ndim=2"):
-            fit_mixture_em(np.zeros((2, 40)), GAUSSIAN_FAMILY, 2)
+            fit_mixture_em(np.zeros((2, 40)), GAUSSIAN_FAMILY)
 
     def test_requires_enough_samples(self):
         with pytest.raises(FittingError):
-            fit_mixture_em(np.arange(5.0), GAUSSIAN_FAMILY, 2)
+            fit_mixture_em(np.arange(5.0), GAUSSIAN_FAMILY)
 
     def test_single_component_request(self, gaussian_samples):
-        result = fit_mixture_em(gaussian_samples, GAUSSIAN_FAMILY, 1)
+        # A one-component warm start takes the single-component fit.
+        initial = Mixture((1.0,), (GaussianModel(1.0, 0.1),))
+        result = fit_mixture_em(
+            gaussian_samples, GAUSSIAN_FAMILY, initial=initial
+        )
         assert result.mixture.n_components == 1
-        assert result.collapsed
+        assert result.collapsed and result.n_iter == 0
+        assert result.mixture.components[0] == GaussianModel.fit(
+            gaussian_samples
+        )
+
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_wider_start_is_a_row_error(self, bimodal_samples, count):
+        # A start of three or more components cannot widen the fit:
+        # as a mixture or as a component sequence, the row's result is
+        # a FittingError naming the count, and its neighbours fit.
+        components = tuple(
+            GaussianModel(1.0 + 0.1 * k, 0.05) for k in range(count)
+        )
+        wide = Mixture(tuple([1.0 / count] * count), components)
+        with pytest.raises(FittingError, match=f"has {count} components"):
+            fit_mixture_em(bimodal_samples, GAUSSIAN_FAMILY, initial=wide)
+        with pytest.raises(FittingError, match=f"has {count} components"):
+            fit_mixture_em(
+                bimodal_samples, GAUSSIAN_FAMILY, initial=components
+            )
+        stack = np.stack([bimodal_samples, bimodal_samples])
+        outcomes = fit_mixture_em_batch(
+            stack, GAUSSIAN_FAMILY, initials=[wide, None]
+        )
+        assert isinstance(outcomes[0], FittingError)
+        assert str(outcomes[0]) == (
+            f"initial mixture has {count} components; EM fits 2"
+        )
+        alone = fit_mixture_em(bimodal_samples, GAUSSIAN_FAMILY)
+        assert outcomes[1].history == alone.history
 
     def test_max_iter_respected(self, bimodal_samples):
         config = EMConfig(max_iter=2)
         result = fit_mixture_em(
-            bimodal_samples, SKEW_NORMAL_FAMILY, 2, config=config
+            bimodal_samples, SKEW_NORMAL_FAMILY, config=config
         )
         assert result.n_iter <= 2
 
@@ -132,10 +166,8 @@ class TestMultiStart:
         samples = np.concatenate(
             [rng.normal(0, 0.3, 3000), rng.normal(0.02, 1.5, 1500)]
         )
-        plain = fit_mixture_em(samples, GAUSSIAN_FAMILY, 2)
-        (multi,) = fit_mixture_em_multistart(
-            samples[None], GAUSSIAN_FAMILY, 2
-        )
+        plain = fit_mixture_em(samples, GAUSSIAN_FAMILY)
+        (multi,) = fit_mixture_em_multistart(samples[None], GAUSSIAN_FAMILY)
         assert multi.loglik >= plain.loglik - 1e-6
         serial = reference.fit_mixture_em_multi(samples, GAUSSIAN_FAMILY, 2)
         assert float(multi.loglik).hex() == float(serial.loglik).hex()
@@ -152,7 +184,6 @@ class TestMultiStart:
         (result,) = fit_mixture_em_multistart(
             bimodal_samples[None],
             SKEW_NORMAL_FAMILY,
-            2,
             extra_initials=[initial],
         )
         assert result.mixture.n_components == 2
@@ -185,31 +216,31 @@ class TestDegenerateInputs:
 
     def test_constant_samples_raise_fitting_error(self):
         with pytest.raises(FittingError):
-            fit_mixture_em(np.full(500, 2.0), SKEW_NORMAL_FAMILY, 2)
+            fit_mixture_em(np.full(500, 2.0), SKEW_NORMAL_FAMILY)
 
     def test_nan_samples_raise_fitting_error(self, bimodal_samples):
         corrupted = bimodal_samples.copy()
         corrupted[0] = np.nan
         with pytest.raises(FittingError):
-            fit_mixture_em(corrupted, SKEW_NORMAL_FAMILY, 2)
+            fit_mixture_em(corrupted, SKEW_NORMAL_FAMILY)
 
     def test_inf_samples_raise_fitting_error(self, bimodal_samples):
         corrupted = bimodal_samples.copy()
         corrupted[-1] = np.inf
         with pytest.raises(FittingError):
-            fit_mixture_em(corrupted, GAUSSIAN_FAMILY, 2)
+            fit_mixture_em(corrupted, GAUSSIAN_FAMILY)
 
     def test_tiny_sample_count_raises_fitting_error(self):
         with pytest.raises(FittingError):
-            fit_mixture_em(np.array([1.0, 1.1, 1.2]), GAUSSIAN_FAMILY, 2)
+            fit_mixture_em(np.array([1.0, 1.1, 1.2]), GAUSSIAN_FAMILY)
 
     def test_empty_samples_raise_fitting_error(self):
         with pytest.raises(FittingError):
-            fit_mixture_em(np.array([]), GAUSSIAN_FAMILY, 2)
+            fit_mixture_em(np.array([]), GAUSSIAN_FAMILY)
 
     def test_multi_start_degenerates_identically(self):
         (outcome,) = fit_mixture_em_multistart(
-            np.full((1, 500), 2.0), SKEW_NORMAL_FAMILY, 2
+            np.full((1, 500), 2.0), SKEW_NORMAL_FAMILY
         )
         assert isinstance(outcome, FittingError)
 
@@ -226,7 +257,6 @@ class TestDegenerateInputs:
         result = fit_mixture_em(
             data,
             GAUSSIAN_FAMILY,
-            2,
             config=EMConfig(max_iter=20),
             initial=initial,
         )

@@ -6,8 +6,8 @@ closeness: every row must reproduce the original per-point serial loop
 (kept verbatim in ``tests/stats/serial_em_reference.py``) *bit for
 bit* — same floats, same iteration counts, same convergence and
 collapse flags, same exceptions in the same rows.  That covers rows
-the loop handles in lockstep with dead lanes (k-means under-seeding,
-``min_weight`` pruning) as well as ordinary ones, and the multi-start
+that collapse to one component (k-means under-seeding, ``min_weight``
+pruning) as well as ordinary ones, and the multi-start
 ``LVF2Model`` / ``Norm2Model`` fits built on the engine.  Every
 comparison therefore canonicalises results through ``float.hex`` JSON
 and asserts string equality; ``pytest.approx`` would defeat the point.
@@ -29,7 +29,6 @@ import pytest
 from repro.errors import ConvergenceWarningError, FittingError, raise_first
 from repro.models.gaussian import GaussianModel
 from repro.models.lvf2 import LVF2Model, SKEW_NORMAL_FAMILY
-from repro.models.lvfk import LVF3Model, LVF4Model, LVFkModel
 from repro.models.norm2 import GAUSSIAN_FAMILY, Norm2Model
 from repro.runtime import telemetry
 from repro.runtime.telemetry import TelemetrySession
@@ -84,7 +83,7 @@ def canon_result(result) -> str:
     )
 
 
-def serial_loop(stack, family, n_components=2, config=None, initials=None):
+def serial_loop(stack, family, config=None, initials=None):
     """The reference: one serial ``fit_mixture_em`` per row, errors kept."""
     results = []
     for index in range(stack.shape[0]):
@@ -94,7 +93,7 @@ def serial_loop(stack, family, n_components=2, config=None, initials=None):
                 reference.fit_mixture_em(
                     stack[index],
                     family,
-                    n_components,
+                    2,
                     config=config,
                     initial=initial,
                 )
@@ -104,18 +103,10 @@ def serial_loop(stack, family, n_components=2, config=None, initials=None):
     return results
 
 
-def assert_batch_matches_serial(
-    stack, family, n_components=2, config=None, initials=None
-):
-    serial = serial_loop(
-        stack, family, n_components, config=config, initials=initials
-    )
+def assert_batch_matches_serial(stack, family, config=None, initials=None):
+    serial = serial_loop(stack, family, config=config, initials=initials)
     batched = fit_mixture_em_batch(
-        stack,
-        family,
-        n_components,
-        config=config,
-        initials=initials,
+        stack, family, config=config, initials=initials
     )
     assert len(batched) == len(serial)
     for index, (a, b) in enumerate(zip(serial, batched)):
@@ -350,7 +341,7 @@ class TestKMeansBatch:
 
 
 def canon_model(model) -> str:
-    """float.hex canon of a fitted mixture model (LVF2, Norm2, LVFk)."""
+    """float.hex canon of a fitted mixture model (LVF2, Norm2)."""
     return json.dumps(
         {
             "weights": [float(w).hex() for w in model.mixture.weights],
@@ -437,17 +428,6 @@ class TestScalarFitsMatchReference:
                 reference.norm2_fit(row)
             ), f"row {index}"
 
-    @pytest.mark.parametrize("model", [LVF3Model, LVF4Model])
-    def test_lvfk_fit(self, rows, model):
-        for index, row in enumerate(rows):
-            expected = reference.fit_mixture_em(
-                row, SKEW_NORMAL_FAMILY, model.order
-            ).mixture
-            fitted = model.fit(row)
-            assert canon_model(fitted) == canon_model(
-                LVFkModel(expected.weights, expected.components)
-            ), f"row {index}"
-
 
 class TestMultiStartMatchesReference:
     def test_multistart_matches_serial_multi(self):
@@ -488,47 +468,6 @@ class TestMultiStartMatchesReference:
         assert isinstance(batched[3], FittingError)
 
 
-class TestDeadLanes:
-    """Rows that run in lockstep with fewer live components than lanes.
-
-    One three-component block mixes ordinary rows with a row whose
-    k-means split seeds only two components (one group is too small)
-    and a row that prunes a component below ``min_weight`` at
-    iteration 24; both must stay bit-identical to the serial loop.
-    """
-
-    N = 145
-    CONFIG = EMConfig(max_iter=60, min_weight=0.05)
-
-    def stack(self):
-        rng = np.random.default_rng([7, 14])
-        assert int(rng.integers(60, 200)) == self.N
-        pruning = bimodal_stack(rng, 1, self.N, spread=0.0)[0]
-        other = np.random.default_rng(93)
-        ordinary = bimodal_stack(other, 2, self.N, spread=3.0)
-        under = bimodal_stack(other, 1, self.N)[0]
-        under[:5] = 3.0  # a k-means group too small to seed
-        return np.stack([ordinary[0], pruning, under, ordinary[1]])
-
-    def test_prune_and_underseed_rows_match_serial(self):
-        stack = self.stack()
-        assert em_module._block_rows(3, self.N) >= len(stack)
-        initial = [
-            reference._initial_mixture(
-                row, SKEW_NORMAL_FAMILY, 3, self.CONFIG
-            ).n_components
-            for row in stack
-        ]
-        assert initial[1:3] == [3, 2]
-        serial, batched = assert_batch_matches_serial(
-            stack, SKEW_NORMAL_FAMILY, 3, config=self.CONFIG
-        )
-        pruned, under = batched[1], batched[2]
-        assert pruned.collapsed and pruned.mixture.n_components == 2
-        assert pruned.n_iter > 24
-        assert under.collapsed and under.mixture.n_components == 2
-
-
 class TestMultiBlock:
     """Stacks long enough that the lockstep loop runs in several blocks.
 
@@ -543,7 +482,7 @@ class TestMultiBlock:
     @staticmethod
     def n_samples() -> int:
         n = em_module._BLOCK_BUDGET // (2 * 2 * 8)
-        assert em_module._block_rows(2, n) == 2
+        assert em_module._block_rows(n) == 2
         return n
 
     def grid(self, family):

@@ -21,7 +21,6 @@ from repro.models.lvf2 import SKEW_NORMAL_FAMILY
 from repro.models.norm2 import GAUSSIAN_FAMILY
 from repro.runtime import fanout, telemetry
 from repro.runtime.telemetry import TelemetrySession
-from repro.stats import em as em_module
 from repro.stats.em import EMConfig, fit_mixture_em_batch
 from tests.stats import test_em_batch as batch_tests
 
@@ -38,28 +37,23 @@ def _refuse(count):
     raise AssertionError(f"started {count} helper process(es)")
 
 
-def _fanned_out(stack, family, n_components=2, **kwargs):
+def _fanned_out(stack, family, **kwargs):
     """Fit with a session; return the results and helper-block count."""
     session = TelemetrySession()
     with telemetry.activate(session):
-        results = fit_mixture_em_batch(
-            stack, family, n_components, **kwargs
-        )
+        results = fit_mixture_em_batch(stack, family, **kwargs)
     counters = session.metrics.snapshot()["counters"]
     return results, counters.get("fanout.helper_blocks", 0)
 
 
-def _assert_matches_serial(stack, family, n_components=2, **kwargs):
+def _assert_matches_serial(stack, family, **kwargs):
     serial = batch_tests.serial_loop(
         stack,
         family,
-        n_components,
         config=kwargs.get("config"),
         initials=kwargs.get("initials"),
     )
-    results, helper_blocks = _fanned_out(
-        stack, family, n_components, **kwargs
-    )
+    results, helper_blocks = _fanned_out(stack, family, **kwargs)
     for index, (a, b) in enumerate(zip(serial, results, strict=True)):
         assert batch_tests.canon_result(a) == batch_tests.canon_result(
             b
@@ -98,22 +92,6 @@ class TestHelpersMatchSerial:
         if require:
             expected.add("ConvergenceWarningError")
         assert kinds == expected
-
-    def test_dead_lane_rows_one_per_block(self, one_helper, monkeypatch):
-        # Under-seeded and pruning rows (dead lanes) each in a block of
-        # their own.
-        dead = batch_tests.TestDeadLanes()
-        stack = dead.stack()
-        monkeypatch.setattr(em_module, "_BLOCK_BUDGET", 3 * dead.N * 8)
-        assert em_module._block_rows(3, dead.N) == 1
-        helper_blocks = 0
-        for _ in range(2):
-            results, blocks = _assert_matches_serial(
-                stack, SKEW_NORMAL_FAMILY, 3, config=dead.CONFIG
-            )
-            helper_blocks += blocks
-        assert helper_blocks > 0
-        assert results[1].collapsed and results[2].collapsed
 
     def test_helpers_killed_between_calls(self, one_helper):
         stack, initials = batch_tests.TestMultiBlock().grid(
@@ -173,17 +151,23 @@ class TestWhoFansOut:
 
 
 class TestNormaliserFold:
-    """The E-step normaliser fold is ``logaddexp.reduce``, bit for bit."""
+    """The E-step normaliser is ``logaddexp.reduce``, bit for bit.
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_left_fold_matches_reduce(self, width):
-        rng = np.random.default_rng([20261018, width])
-        lanes = rng.normal(-3.0, 40.0, size=(5, width, 64))
-        lanes[1, 0] = -np.inf  # a dead leading lane
-        lanes[2, width - 1] = -np.inf  # a dead trailing lane
-        lanes[3] = -np.inf  # every lane dead
+    ``_fit_block`` computes it as one ``np.logaddexp`` of the two lane
+    views into a leading-row view of its workspace.  ``-inf`` lanes
+    occur: a zero-weight component at ``min_weight=0`` keeps an all
+    ``-inf`` log row.
+    """
+
+    def test_two_lane_logaddexp_matches_reduce(self):
+        rng = np.random.default_rng([20261018, 2])
+        lanes = rng.normal(-3.0, 40.0, size=(5, 2, 64))
+        lanes[1, 0] = -np.inf  # a zero-weight first lane
+        lanes[2, 1] = -np.inf  # a zero-weight second lane
+        lanes[3] = -np.inf  # both lanes -inf
         lanes[4, :, ::7] = -np.inf
         expected = np.logaddexp.reduce(lanes, axis=1)
-        out = np.empty((5, 64))
-        assert em_module._fold_lanes(lanes, out) is out
+        workspace = np.empty((8, 64))
+        out = np.logaddexp(lanes[:, 0], lanes[:, 1], out=workspace[:5])
+        assert np.shares_memory(out, workspace)
         assert out.tobytes() == expected.tobytes()
