@@ -32,6 +32,7 @@ from repro.runtime.policy import FitPolicy
 from repro.runtime.pool.scheduler import WorkItem
 from repro.runtime.progress import ProgressReporter
 from repro.runtime.report import FitContext, FitReport
+from repro.stats.em import EMConfig
 
 __all__ = [
     "PAPER_LOADS",
@@ -492,14 +493,17 @@ def edge_fit_token(
     """Content token of one arc edge's simulate-and-fit payload.
 
     Derived from the edge's Monte-Carlo token (so any knob that
-    changes a sample changes the key) plus the fit policy.
-    ``FitPolicy`` is a frozen dataclass of scalars and tuples, so its
-    repr is stable across processes and hosts.  ``isolate_errors`` is
-    not part of the key: an edge payload records errors instead of
-    acting on them, so the same payload serves both modes.
+    changes a sample changes the key), the fit policy and the default
+    EM configuration every fit on the ladder runs with (so a store
+    written under another stop rule misses instead of resuming stale
+    fits).  ``FitPolicy`` and ``EMConfig`` are frozen dataclasses of
+    scalars and tuples, so their reprs are stable across processes and
+    hosts.  ``isolate_errors`` is not part of the key: an edge payload
+    records errors instead of acting on them, so the same payload
+    serves both modes.
     """
     arc = arc_checkpoint_token(engine, cell, pin_name, transition, config)
-    return f"edge-fit|{arc}|{policy!r}"
+    return f"edge-fit|{arc}|{policy!r}|{EMConfig()!r}"
 
 
 def _edge_payload(

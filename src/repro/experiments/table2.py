@@ -45,6 +45,7 @@ from repro.models import TimingModel
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.pool.scheduler import WorkItem
 from repro.runtime.progress import ProgressReporter
+from repro.stats.em import EMConfig
 from repro.stats.empirical import EmpiricalDistribution
 
 __all__ = [
@@ -222,13 +223,14 @@ def table2_score_token(
     """Content token of one arc's scored reductions payload.
 
     Derived from the arc's Monte-Carlo token (so any knob that changes
-    a sample changes the key) plus a metrics version tag guarding the
-    scoring recipe itself.
+    a sample changes the key), the default EM configuration the fits
+    run with, and a metrics version tag guarding the scoring recipe
+    itself.
     """
     mc_token = arc_checkpoint_token(
         engine, cell, pin, transition, char_config
     )
-    return f"table2-score|{mc_token}|metrics-v1"
+    return f"table2-score|{mc_token}|{EMConfig()!r}|metrics-v1"
 
 
 def _score_arc_task(

@@ -26,7 +26,11 @@ stamps onto every span is what separates the two) and produces one
   live foreign claims);
 - **stragglers / critical path** — the top-N slowest work units
   (``pool.item`` spans, or ``characterize.arc`` in a serial trace)
-  and the worker whose lifetime bounds the pool's wall clock.
+  and the worker whose lifetime bounds the pool's wall clock;
+- **EM fit health** — from the trace's metrics record: EM fits, how
+  many stopped at ``max_iter`` unconverged (``em.nonconverged``) and
+  their share, the ``em.iterations`` p50/p90, and how many fits
+  returned an iterate earlier than their last (``em.best_earlier``).
 
 Everything here is read-side only: no imports beyond the telemetry
 package itself, no filesystem access — callers load the trace with
@@ -42,6 +46,7 @@ from repro.runtime.telemetry.tracer import SpanRecord
 
 __all__ = [
     "PHASES",
+    "EMHealth",
     "PhaseReport",
     "TraceAnalysis",
     "UnitReport",
@@ -170,6 +175,58 @@ class UnitReport:
         }
 
 
+@dataclass(frozen=True)
+class EMHealth:
+    """How a run's EM fits ended, from its metrics record.
+
+    Attributes:
+        fits: EM fits (``em.fits``), at least one.
+        capped: Fits that stopped at ``max_iter`` unconverged
+            (``em.nonconverged``).
+        iterations_p50: Median of ``em.iterations``.
+        iterations_p90: 90th percentile of ``em.iterations``.
+        best_earlier: Fits whose returned iterate is not their last
+            (``em.best_earlier``).
+    """
+
+    fits: int
+    capped: int
+    iterations_p50: float
+    iterations_p90: float
+    best_earlier: int
+
+    @property
+    def capped_share(self) -> float:
+        """Share of the fits that hit the iteration cap, in [0, 1]."""
+        return self.capped / self.fits
+
+    def to_dict(self) -> dict:
+        return {
+            "fits": self.fits,
+            "capped": self.capped,
+            "capped_share": self.capped_share,
+            "iterations_p50": self.iterations_p50,
+            "iterations_p90": self.iterations_p90,
+            "best_earlier": self.best_earlier,
+        }
+
+
+def _em_health(metrics: dict) -> EMHealth | None:
+    """The EM fit-health numbers, or ``None`` when no EM fit ran."""
+    counters = metrics.get("counters", {})
+    fits = int(counters.get("em.fits", 0))
+    if not fits:
+        return None
+    iterations = metrics.get("histograms", {}).get("em.iterations", {})
+    return EMHealth(
+        fits=fits,
+        capped=int(counters.get("em.nonconverged", 0)),
+        iterations_p50=float(iterations.get("p50", 0.0)),
+        iterations_p90=float(iterations.get("p90", 0.0)),
+        best_earlier=int(counters.get("em.best_earlier", 0)),
+    )
+
+
 @dataclass
 class TraceAnalysis:
     """Everything ``repro trace analyze`` reports.
@@ -185,6 +242,8 @@ class TraceAnalysis:
         stragglers: Slowest work units, slowest first.
         critical: The worker bounding the pool wall clock, or None.
         waterfall: Largest spans in start order (for rendering).
+        em: EM fit health, or None when the trace's metrics record
+            no EM fit.
     """
 
     total_wall: float = 0.0
@@ -195,6 +254,7 @@ class TraceAnalysis:
     stragglers: list[UnitReport] = field(default_factory=list)
     critical: WorkerReport | None = None
     waterfall: list[SpanRecord] = field(default_factory=list)
+    em: EMHealth | None = None
 
     def to_dict(self, *, top: int = 10) -> dict:
         """JSON view (``repro trace analyze --json``)."""
@@ -211,6 +271,7 @@ class TraceAnalysis:
             "critical_worker": (
                 None if self.critical is None else self.critical.to_dict()
             ),
+            "em": None if self.em is None else self.em.to_dict(),
         }
 
 
@@ -307,7 +368,7 @@ def analyze_trace(data: TraceData, *, top: int = 10) -> TraceAnalysis:
             :func:`~repro.runtime.telemetry.summarize.load_trace`.
         top: How many stragglers and waterfall rows to keep.
     """
-    analysis = TraceAnalysis()
+    analysis = TraceAnalysis(em=_em_health(data.metrics))
     spans = data.spans
     analysis.span_count = len(spans)
     if not spans:
@@ -393,6 +454,14 @@ def render_analysis(analysis: TraceAnalysis, *, top: int = 10) -> str:
         lines.append(
             f"  {phase.phase:<14s} {phase.wall:9.4f}s "
             f"{100.0 * phase.share:5.1f}%  spans={phase.count}"
+        )
+    if analysis.em is not None:
+        em = analysis.em
+        lines.append(
+            f"EM fit health: {em.fits} fits, {em.capped} capped "
+            f"({100.0 * em.capped_share:.1f}%), iterations "
+            f"p50={em.iterations_p50:g} p90={em.iterations_p90:g}, "
+            f"best_earlier={em.best_earlier}"
         )
     if analysis.workers:
         lines.append("workers:")

@@ -17,10 +17,14 @@ The M-step is pluggable.  The default family implementations use
 weighted method-of-moments updates — fast, closed-form and stable, but
 not an ascent step: the observed-data log-likelihood (Eq. 5) is not
 guaranteed to increase, and real fits do show decreasing steps.  The
-loop stops when the relative log-likelihood change falls below
-``EMConfig.tol`` or at ``max_iter``, and returns its last iterate.  An
-optional weighted-MLE refinement (``refine="mle"``) on the model
-classes polishes the result by direct likelihood ascent.
+loop stops when one iteration changes the log-likelihood by at most
+``EMConfig.tol`` nats per sample, or at ``max_iter``.  The rule does
+not depend on the units of the samples: rescaling them shifts every
+log-likelihood by the same constant.  Because a step can go down, each
+row keeps its best post-M-step iterate and returns that one, converged
+or capped; its ``history`` is still the full trace.  An optional
+weighted-MLE refinement (``refine="mle"``) on the model classes
+polishes the result by direct likelihood ascent.
 """
 
 from __future__ import annotations
@@ -112,8 +116,11 @@ class EMConfig:
 
     Attributes:
         max_iter: Iteration cap for the E/M loop.
-        tol: Relative log-likelihood improvement below which the loop
-            is declared converged.
+        tol: Convergence threshold in nats per sample: the loop stops
+            once one iteration changes the observed-data
+            log-likelihood by at most ``tol * n_samples``.  An absolute
+            per-sample change, so the same data stops at the same
+            iteration in any time unit.
         min_weight: A component whose weight falls below this value is
             considered collapsed; the fit degrades gracefully to one
             component rather than chasing a degenerate optimum.
@@ -124,7 +131,7 @@ class EMConfig:
     """
 
     max_iter: int = 200
-    tol: float = 1e-8
+    tol: float = 1e-6
     min_weight: float = 1e-4
     kmeans_restarts: int = 4
     seed: int | None = 0
@@ -137,8 +144,12 @@ class EMResult:
 
     Attributes:
         mixture: Fitted mixture, components sorted by mean.
-        loglik: Final observed-data log-likelihood (Eq. 5).
-        n_iter: E/M iterations performed.
+        loglik: Observed-data log-likelihood (Eq. 5) of ``mixture``:
+            the best post-M-step iterate's, ``max(history)``, for a
+            two-component fit; the single component's for a collapsed
+            one.
+        n_iter: E/M iterations performed (the returned iterate may be
+            an earlier one).
         converged: Whether the tolerance criterion was met.
         collapsed: True when the fit fell back to a single component
             (a component below ``min_weight`` or a one-component
@@ -357,6 +368,10 @@ def fit_mixture_em_batch(
             telemetry.counter_inc("em.collapsed")
         if not outcome.converged:
             telemetry.counter_inc("em.nonconverged")
+        if not outcome.collapsed and outcome.history and (
+            outcome.loglik != outcome.history[-1]
+        ):
+            telemetry.counter_inc("em.best_earlier")
     assert all(outcome is not None for outcome in results)
     return results  # type: ignore[return-value]
 
@@ -583,6 +598,14 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
     builds its mixture, which raises the row's error or accepts it.
     A row with a component below ``min_weight`` gets the
     single-component fit.
+
+    A row stops once one iteration moves its log-likelihood by at most
+    ``cfg.tol`` nats per sample, or at ``cfg.max_iter``.  Either way it
+    finishes from its best post-M-step iterate: the moment M-step is
+    not an ascent step, so the last iterate need not be the best.  The
+    best iterates are arrays indexed by block row (log-likelihood
+    ``(rows,)``, weights ``(rows, 2)``, lanes ``(rows, 2, P)``); on a
+    tie the later iterate wins.
     """
     stack = block.rows
     family, cfg = block.family, block.cfg
@@ -643,6 +666,12 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
     params = block.params.copy()
     histories: list[list[float]] = [[] for _ in range(n_rows)]
     logliks = _log_rows(weights, params)
+    stop = cfg.tol * n_samples
+    # Best post-M-step iterate per block row (not per live row); NaN
+    # until the row's first iteration.
+    best_logliks = np.full(n_rows, np.nan)
+    best_weights = np.empty((n_rows, _COMPONENTS))
+    best_params = np.empty((n_rows, _COMPONENTS, n_params))
 
     def _retire(done: np.ndarray, *stacks: np.ndarray) -> None:
         """Drop the finished rows ``done`` from every per-row state."""
@@ -653,19 +682,26 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
             state[keep] for state in (idx, weights, params, logliks)
         )
 
-    def _mixture(a: int) -> Mixture:
-        """Row ``a``'s mixture; raises what ``Mixture`` raises on it."""
+    def _mixture(row_weights: np.ndarray, lanes: np.ndarray) -> Mixture:
+        """A row's mixture; raises what ``Mixture`` raises on it."""
         return Mixture(
-            tuple(weights[a].tolist()),
-            tuple(family.build(lane) for lane in params[a].tolist()),
+            tuple(row_weights.tolist()),
+            tuple(family.build(lane) for lane in lanes.tolist()),
         )
 
-    def _finish(a: int, iteration: int, converged: bool, loglik: float):
+    def _finish(a: int, iteration: int, converged: bool):
+        """Live row ``a``'s result, from its best iterate."""
         p = int(idx[a])
+        if iteration:
+            row_weights, lanes = best_weights[p], best_params[p]
+            loglik = best_logliks[p]
+        else:
+            # ``max_iter=0``: the start is the only iterate.
+            row_weights, lanes, loglik = weights[a], params[a], logliks[a]
         try:
             results[p] = EMResult(
-                _mixture(a).sorted_by_mean(),
-                loglik,
+                _mixture(row_weights, lanes).sorted_by_mean(),
+                float(loglik),
                 iteration,
                 converged,
                 history=tuple(histories[p]),
@@ -752,7 +788,7 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
         if not valid.all():
             for a in np.flatnonzero(~valid & ~done).tolist():
                 try:
-                    _mixture(a)
+                    _mixture(weights[a], params[a])
                 except Exception as error:  # captured per row
                     results[int(idx[a])] = error
                     done[a] = True
@@ -763,17 +799,21 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
 
         new_logliks = _log_rows(weights, params)
         # ``tolist`` converts each element exactly like ``float(x[a])``
-        # in one C pass; the hoisted list feeds the bookkeeping loops.
-        new_logliks_l = new_logliks.tolist()
-        for p, value in zip(idx.tolist(), new_logliks_l):
+        # in one C pass.
+        for p, value in zip(idx.tolist(), new_logliks.tolist()):
             histories[p].append(value)
-        conv = np.abs(new_logliks - logliks) <= cfg.tol * (
-            np.abs(logliks) + 1e-12
-        )
+        held = best_logliks[idx]
+        better = (new_logliks >= held) | np.isnan(held)
+        if better.any():
+            rows = idx[better]
+            best_logliks[rows] = new_logliks[better]
+            best_weights[rows] = weights[better]
+            best_params[rows] = params[better]
+        conv = np.abs(new_logliks - logliks) <= stop
         logliks = new_logliks
         if np.any(conv):
             for a in np.flatnonzero(conv).tolist():
-                _finish(a, iteration, True, new_logliks_l[a])
+                _finish(a, iteration, True)
             _retire(conv, data, log_rows, log_norm)
 
     # --- max_iter exhausted: non-converged leftovers -----------------
@@ -784,7 +824,7 @@ def _fit_block(block: _Block) -> list[EMResult | Exception]:
                 f"(last loglik {float(logliks[a]):.6g})"
             )
             continue
-        _finish(a, iteration, False, float(logliks[a]))
+        _finish(a, iteration, False)
     return results  # type: ignore[return-value]
 
 

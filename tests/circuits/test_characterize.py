@@ -13,10 +13,12 @@ from repro.circuits.characterize import (
     characterize_arc,
     characterize_library,
     characterized_arc_to_liberty,
+    edge_fit_token,
 )
 from repro.errors import CharacterizationError
 from repro.liberty.library import read_library
 from repro.runtime import FitPolicy, FitReport
+from repro.stats.em import EMConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,28 @@ class TestConfig:
         template = small_config.template()
         assert template.index_1 == small_config.slews
         assert template.index_2 == small_config.loads
+
+
+class TestEdgeFitToken:
+    def test_token_changes_with_default_em_config(
+        self, engine_module, small_config, monkeypatch
+    ):
+        # A store written under another stop rule must miss, not
+        # resume fits made with the old rule.
+        def token():
+            return edge_fit_token(
+                engine_module, build_cell("INV"), "A", "fall", small_config
+            )
+
+        before = token()
+        assert token() == before
+        defaults = list(EMConfig.__init__.__defaults__)
+        defaults[1] = 1e-5  # ``tol``
+        monkeypatch.setattr(
+            EMConfig.__init__, "__defaults__", tuple(defaults)
+        )
+        assert EMConfig() == EMConfig(tol=1e-5)
+        assert token() != before
 
 
 class TestCharacterizeArc:

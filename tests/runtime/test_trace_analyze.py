@@ -286,3 +286,41 @@ class TestSerialization:
         assert "blocks=4 block_rows=16" in batch
         (single,) = [line for line in lines if line.endswith("em.fit 1.0000s")]
         assert "blocks=" not in single
+
+
+class TestEMHealth:
+    METRICS = {
+        "counters": {
+            "em.fits": 8,
+            "em.nonconverged": 2,
+            "em.best_earlier": 3,
+        },
+        "histograms": {
+            "em.iterations": {"count": 8, "p50": 41.0, "p90": 200.0}
+        },
+    }
+
+    def test_line_from_metrics(self):
+        data = TraceData(spans=[span("em.fit", 1)], metrics=self.METRICS)
+        lines = render_analysis(analyze_trace(data)).splitlines()
+        assert (
+            "EM fit health: 8 fits, 2 capped (25.0%), iterations "
+            "p50=41 p90=200, best_earlier=3"
+        ) in lines
+
+    def test_json_view(self):
+        data = TraceData(spans=[span("em.fit", 1)], metrics=self.METRICS)
+        assert analyze_trace(data).to_dict()["em"] == {
+            "fits": 8,
+            "capped": 2,
+            "capped_share": 0.25,
+            "iterations_p50": 41.0,
+            "iterations_p90": 200.0,
+            "best_earlier": 3,
+        }
+
+    def test_absent_without_em_fits(self):
+        analysis = analyze_trace(trace([span("mc.condition", 1)]))
+        assert analysis.em is None
+        assert analysis.to_dict()["em"] is None
+        assert "EM fit health" not in render_analysis(analysis)

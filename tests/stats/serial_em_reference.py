@@ -3,11 +3,13 @@
 ``repro.stats.em`` has one EM engine, the lockstep
 ``fit_mixture_em_batch``.  Its load-bearing invariant is that every
 row is bit-identical to fitting that row alone with the original
-per-point loop.  That loop lives on here, verbatim, as the oracle the
-equivalence tests compare against: ``kmeans_1d`` (the scalar k-means
-seeding), ``fit_mixture_em`` (one row), ``fit_mixture_em_multi``
-(k-means, concentric and extra starts) and the LVF2 / Norm2
-multi-start fits built on them.
+per-point loop.  That loop lives on here as the oracle the
+equivalence tests compare against, with the engine's stop rule (an
+absolute ``tol`` nats per sample) and its best-iterate return
+mirrored in: ``kmeans_1d`` (the scalar k-means seeding),
+``fit_mixture_em`` (one row), ``fit_mixture_em_multi`` (k-means,
+concentric and extra starts) and the LVF2 / Norm2 multi-start fits
+built on them.
 
 Nothing in ``src/`` imports this module.
 """
@@ -205,6 +207,10 @@ def fit_mixture_em(
         telemetry.counter_inc("em.collapsed")
     if not result.converged:
         telemetry.counter_inc("em.nonconverged")
+    if not result.collapsed and result.history and (
+        result.loglik != result.history[-1]
+    ):
+        telemetry.counter_inc("em.best_earlier")
     return result
 
 
@@ -260,6 +266,8 @@ def _fit_mixture_em_impl(
         return rows
 
     history: list[float] = []
+    best: Mixture = mixture
+    best_loglik = float("nan")
     log_rows = _log_rows(mixture)
     # np.logaddexp.reduce: same math as scipy's logsumexp with far
     # less per-call overhead (this loop is the fitting hot path).  The
@@ -316,7 +324,11 @@ def _fit_mixture_em_impl(
         log_norm = np.logaddexp.reduce(log_rows, axis=0)
         new_loglik = float(np.sum(log_norm))
         history.append(new_loglik)
-        if abs(new_loglik - loglik) <= cfg.tol * (abs(loglik) + 1e-12):
+        # The best post-M-step iterate; a tie goes to the later one.
+        if new_loglik >= best_loglik or np.isnan(best_loglik):
+            best, best_loglik = mixture, new_loglik
+        # Absolute change per sample: the rule is unit-free.
+        if abs(new_loglik - loglik) <= cfg.tol * data.size:
             loglik = new_loglik
             converged = True
             break
@@ -327,6 +339,8 @@ def _fit_mixture_em_impl(
             f"EM did not converge in {cfg.max_iter} iterations "
             f"(last loglik {loglik:.6g})"
         )
+    if iteration:
+        mixture, loglik = best, best_loglik
     return EMResult(
         mixture.sorted_by_mean(),
         loglik,

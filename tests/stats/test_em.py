@@ -46,13 +46,6 @@ class TestFitMixtureEM:
         assert skews[0] > 0.2  # true +0.6
         assert skews[1] < 0.0  # true -0.4
 
-    def test_loglik_nondecreasing(self, bimodal_samples):
-        result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY)
-        history = np.asarray(result.history)
-        # Weighted-moment M-steps are conditional maximisations; allow
-        # tiny numerical wobble but no real decrease.
-        assert np.all(np.diff(history) > -1e-6 * np.abs(history[:-1]))
-
     def test_converged_flag_set(self, bimodal_samples):
         result = fit_mixture_em(bimodal_samples, SKEW_NORMAL_FAMILY)
         assert result.converged

@@ -245,6 +245,18 @@ class TestMixedConvergence:
         }
         assert flags == {True, False}
 
+    def test_zero_iteration_cap_returns_the_start(self):
+        # No post-M-step iterate exists, so every row returns its
+        # start, unconverged, with an empty history.
+        rng = np.random.default_rng(80)
+        stack = bimodal_stack(rng, 3, 80, spread=3.0)
+        serial, batched = assert_batch_matches_serial(
+            stack, SKEW_NORMAL_FAMILY, config=EMConfig(max_iter=0)
+        )
+        for result in batched:
+            assert (result.n_iter, result.converged) == (0, False)
+            assert result.history == ()
+
     def test_warm_starts_match_serial(self):
         rng = np.random.default_rng(81)
         stack = bimodal_stack(rng, 4, 70)

@@ -739,6 +739,65 @@ class TestTraceAnalyzeCli:
         assert report["schema"] == "repro.trace_analysis/1"
         assert report["span_count"] == 1
 
+    def test_em_fit_health_line_and_json(self, tmp_path, capsys):
+        import json
+
+        from repro.models.lvf2 import SKEW_NORMAL_FAMILY
+        from repro.runtime import telemetry
+        from repro.runtime.telemetry import TelemetrySession
+        from repro.stats.em import EMConfig, fit_mixture_em_batch
+
+        rng = np.random.default_rng(5)
+        stack = np.concatenate(
+            [rng.normal(0.0, 1.0, (3, 300)), rng.normal(4.0, 1.0, (3, 100))],
+            axis=1,
+        )
+        trace = tmp_path / "em.jsonl"
+        session = TelemetrySession(trace_path=trace)
+        with telemetry.activate(session):
+            outcomes = fit_mixture_em_batch(
+                stack, SKEW_NORMAL_FAMILY, config=EMConfig(max_iter=8)
+            )
+        session.close()
+        capped = sum(not result.converged for result in outcomes)
+        earlier = sum(
+            result.loglik != result.history[-1] for result in outcomes
+        )
+        iterations = sorted(result.n_iter for result in outcomes)
+
+        assert main(["trace", "analyze", str(trace)]) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("EM fit health:")
+        ]
+        assert line.startswith(
+            f"EM fit health: 3 fits, {capped} capped "
+            f"({100.0 * capped / 3:.1f}%), iterations p50="
+        )
+        assert line.endswith(f"best_earlier={earlier}")
+
+        assert main(["trace", "analyze", str(trace), "--json"]) == 0
+        em = json.loads(capsys.readouterr().out)["em"]
+        assert em["fits"] == 3
+        assert em["capped"] == capped
+        assert em["capped_share"] == pytest.approx(capped / 3)
+        assert em["iterations_p50"] == iterations[1]
+        assert iterations[1] <= em["iterations_p90"] <= iterations[2]
+        assert em["best_earlier"] == earlier
+
+    def test_trace_without_em_fits_has_no_health_line(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        trace = tmp_path / "t.jsonl"
+        _write_trace(trace, [_span_record("mc.condition", 1, wall=2.0)])
+        assert main(["trace", "analyze", str(trace)]) == 0
+        assert "EM fit health" not in capsys.readouterr().out
+        assert main(["trace", "analyze", str(trace), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["em"] is None
+
     def test_directory_with_single_trace(self, tmp_path, capsys):
         _write_trace(
             tmp_path / "merged.jsonl",
