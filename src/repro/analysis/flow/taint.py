@@ -106,7 +106,6 @@ class FlowConfig:
             "fit_mixture_em_batch",
             "fit_mixture_em_multistart",
             "kmeans_1d_batch",
-            "kmeans_nd",
             "sample",
             "sample_path_delays",
         }

@@ -39,7 +39,8 @@ from pathlib import Path
 from repro.analysis.findings import REGISTRY, Finding
 from repro.errors import LibertyError, ParameterError
 from repro.liberty.ast import Group
-from repro.liberty.lvf2_attrs import LVF2_PREFIXES, PREFIX_ALIASES
+from repro.liberty.library import _match_stat_table
+from repro.liberty.lvf2_attrs import LVF2_PREFIXES
 from repro.liberty.lvf_attrs import BASE_QUANTITIES, LVF_PREFIXES
 from repro.liberty.parser import parse_liberty
 from repro.liberty.tables import parse_number_list
@@ -56,20 +57,6 @@ _EXPECTED_LIBRARY_ATTRS = ("time_unit", "voltage_unit", "delay_model")
 #: σ-valued and skew-valued LUT prefixes for LIB005.
 _SIGMA_PREFIXES = ("ocv_std_dev", "ocv_std_dev1", "ocv_std_dev2")
 _SKEW_PREFIXES = ("ocv_skewness", "ocv_skewness1", "ocv_skewness2")
-
-
-def _match_stat_name(name: str) -> tuple[str, str] | None:
-    """Split a LUT group name into (canonical prefix, base quantity)."""
-    prefixes = (
-        tuple(LVF_PREFIXES)
-        + tuple(LVF2_PREFIXES)
-        + tuple(PREFIX_ALIASES)
-    )
-    for prefix in prefixes:
-        for base in BASE_QUANTITIES:
-            if name == f"{prefix}_{base}":
-                return (PREFIX_ALIASES.get(prefix, prefix), base)
-    return None
 
 
 @dataclass
@@ -313,7 +300,7 @@ class _LibraryLinter:
         stat: dict[tuple[str, str], _Lut] = {}
         for child in timing.groups():
             base_name = child.name
-            match = _match_stat_name(base_name)
+            match = _match_stat_table(base_name)
             is_nominal = base_name in BASE_QUANTITIES
             if not (is_nominal or match):
                 continue

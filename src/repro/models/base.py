@@ -16,8 +16,16 @@ from typing import Any, ClassVar, TypeVar
 
 import numpy as np
 
-from repro.errors import ParameterError
-from repro.stats.em import _as_stack
+from repro.errors import ParameterError, raise_first
+from repro.stats.em import (
+    ComponentFamily,
+    EMConfig,
+    _as_stack,
+    _kmeans_starts,
+    _single_row,
+    fit_mixture_em_multistart,
+)
+from repro.stats.kmeans import KMeansResult
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import MomentSummary
 
@@ -196,13 +204,15 @@ class TwoComponentModel(TimingModel):
     """Weighted pair ``(1 - lambda) f1 + lambda f2`` of components.
 
     The shared body of the paper's two mixture models, LVF2 (Eq. 4)
-    and Norm2: the weight checks, the :class:`Mixture` the queries
-    delegate to, and the collapse to one component (``lambda = 0``,
-    Eq. 10).  A subclass adds its fields after these and its
-    parameter accounting.  ``_mixture`` is set last, in
-    ``__post_init__``, so an instance's ``__dict__`` (what pickled
-    checkpoint payloads hold) lists the init fields in order and then
-    ``_mixture``.
+    and Norm2: the multi-start EM fit (paper §3.2), the weight checks,
+    the :class:`Mixture` the queries delegate to, and the collapse to
+    one component (``lambda = 0``, Eq. 10).  A subclass names its
+    component ``family``, may add a warm start per row
+    (:meth:`_warm_starts`) and a per-row finish step (:meth:`_finish`),
+    and adds its fields after these and its parameter accounting.
+    ``_mixture`` is set last, in ``__post_init__``, so an instance's
+    ``__dict__`` (what pickled checkpoint payloads hold) lists the
+    init fields in order and then ``_mixture``.
 
     Attributes:
         weight: Mixing weight ``lambda`` of the second component.
@@ -210,6 +220,9 @@ class TwoComponentModel(TimingModel):
         component2: Second component, or ``None`` when the model is a
             single component (``lambda = 0``).
     """
+
+    #: Component family the mixture EM fits.
+    family: ClassVar[ComponentFamily]
 
     weight: float
     component1: Any
@@ -233,6 +246,102 @@ class TwoComponentModel(TimingModel):
                 (self.component1, self.component2),
             )
         object.__setattr__(self, "_mixture", mixture)
+
+    @classmethod
+    def fit(
+        cls: type[ModelT],
+        samples: np.ndarray,
+        *,
+        config: EMConfig | None = None,
+        **kwargs: Any,
+    ) -> ModelT:
+        """Fit by multi-start EM (paper §3.2): a batch of one.
+
+        Runs :meth:`fit_batch` on the samples as its single row and
+        raises that row's error.
+
+        Returns:
+            Fitted model; collapses to ``lambda = 0`` when the data do
+            not support two components.
+        """
+        name = cls.__name__
+        (model,) = raise_first(
+            cls.fit_batch(
+                _single_row(samples, f"{name}.fit", f"{name}.fit_batch"),
+                config=config,
+                **kwargs,
+            )
+        )
+        return model
+
+    @classmethod
+    def fit_batch(
+        cls: type[ModelT],
+        samples: np.ndarray,
+        *,
+        config: EMConfig | None = None,
+        **kwargs: Any,
+    ) -> list[ModelT | Exception]:
+        """Fit one model per row of a ``(n_points, n_samples)`` stack.
+
+        Multi-start EM of the class's ``family`` by
+        :func:`~repro.stats.em.fit_mixture_em_multistart`, all rows
+        and starts in one lockstep call: each row's k-means start,
+        its concentric start and its :meth:`_warm_starts` entry.  The
+        k-means split is one per row, computed once, so a warm start
+        fitted from it sees the same split.  A row whose warm start is
+        an error keeps that error and runs no start.  ``kwargs`` go
+        to :meth:`_finish`.
+
+        Returns:
+            One entry per row: the fitted model, or the exception
+            :meth:`fit` raises on that row.
+        """
+        stack = _as_stack(samples)
+        splits = _kmeans_starts(stack, config)
+        outcomes: list[Any] = cls._warm_starts(stack, splits, config)
+        live = [
+            p for p, warm in enumerate(outcomes)
+            if not isinstance(warm, Exception)
+        ]
+        fits = fit_mixture_em_multistart(
+            stack[live],
+            cls.family,
+            config=config,
+            splits=[splits[p] for p in live],
+            extra_initials=[outcomes[p] for p in live],
+        )
+        for p, best in zip(live, fits):
+            if isinstance(best, Exception):
+                outcomes[p] = best
+                continue
+            try:
+                model = cls._from_mixture(best.mixture)
+                outcomes[p] = cls._finish(model, stack[p], **kwargs)
+            except Exception as error:  # noqa: BLE001 — row error
+                outcomes[p] = error
+        return outcomes
+
+    @classmethod
+    def _warm_starts(
+        cls,
+        stack: np.ndarray,
+        splits: list[KMeansResult | None],
+        config: EMConfig | None,
+    ) -> list[Mixture | Exception | None]:
+        """Each row's extra EM start, ``None`` for none, or its error.
+
+        ``splits`` holds each row's k-means split (``None`` where the
+        row cannot be split).  The default adds no start.
+        """
+        return [None] * stack.shape[0]
+
+    @classmethod
+    def _finish(
+        cls: type[ModelT], model: ModelT, row: np.ndarray, **kwargs: Any
+    ) -> ModelT:
+        """The row's final model from its EM fit; the default keeps it."""
+        return model
 
     @classmethod
     def _from_mixture(cls: type[ModelT], mixture: Mixture) -> ModelT:

@@ -26,18 +26,17 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from repro.errors import FittingError, ParameterError, raise_first
+from repro.errors import FittingError, ParameterError
 from repro.models.base import TimingModel, TwoComponentModel, register_model
 from repro.models.lvf import LVFModel, _lvf_from_direct
+from repro.models.norm2 import GAUSSIAN_FAMILY
 from repro.stats.em import (
     ComponentFamily,
     EMConfig,
-    _as_stack,
-    _kmeans_starts,
-    _single_row,
+    EMResult,
     fit_mixture_em_batch,
-    fit_mixture_em_multistart,
 )
+from repro.stats.kmeans import KMeansResult
 from repro.stats.mixtures import Mixture
 from repro.stats.moments import _weighted_moments_rows
 from repro.stats.skew_normal import SkewNormal, _moments_to_params_rows
@@ -151,45 +150,13 @@ class LVF2Model(TwoComponentModel):
     """
 
     name = "LVF2"
+    family = SKEW_NORMAL_FAMILY
 
     nominal: float | None = None
 
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    @classmethod
-    def fit(
-        cls,
-        samples: np.ndarray,
-        *,
-        config: EMConfig | None = None,
-        refine: str = "none",
-        **kwargs: Any,
-    ) -> "LVF2Model":
-        """Fit by multi-start EM (paper §3.2): a batch of one.
-
-        Runs :meth:`fit_batch` on the samples as its single row.
-
-        Args:
-            samples: Golden Monte-Carlo samples.
-            config: EM loop settings.
-            refine: ``"none"`` for the plain EM (moment-based M-step)
-                or ``"mle"`` to follow EM with a direct L-BFGS ascent
-                of the full log-likelihood (Eq. 5).
-
-        Returns:
-            Fitted model; collapses to ``lambda = 0`` when the data do
-            not support two components.
-        """
-        (model,) = raise_first(
-            cls.fit_batch(
-                _single_row(samples, "LVF2Model.fit", "LVF2Model.fit_batch"),
-                config=config,
-                refine=refine,
-            )
-        )
-        return model
-
     @classmethod
     def fit_batch(
         cls,
@@ -201,85 +168,83 @@ class LVF2Model(TwoComponentModel):
     ) -> "list[LVF2Model | Exception]":
         """Fit one LVF2 model per row of a ``(n_points, n_samples)`` stack.
 
-        Multi-start EM: a Norm2 (two-Gaussian) EM fit per row first,
-        recast as zero-skew components; then
-        :func:`~repro.stats.em.fit_mixture_em_multistart` over the
-        k-means start, the concentric start and that Norm2 warm start.
-        Skew-normal mixtures generalise Gaussian ones, so the warm start
-        puts one LVF2 start in the basin of a two-Gaussian fit.  It does
-        not make LVF2 at least as likely as Norm2: the warm start is the
-        Gaussian fit from the k-means split, not Norm2's best start, and
-        the moment M-step is not an ascent step, so LVF2 can end below
-        Norm2 (the Table 1 Multi-Peaks scenario and a few Fig. 4 delay
-        points do).  A Norm2 fit that raises :class:`FittingError` or
-        collapses means "no warm start"; any other error fails the row.
-        Both k-means starts are one split per row, computed once: the
-        split depends only on the row, ``kmeans_restarts`` and
-        ``seed``, not on the component family.
+        :meth:`TwoComponentModel.fit_batch` with the Norm2 warm start
+        (:meth:`_warm_starts`); :meth:`fit` is a batch of one.
 
         Args:
             samples: Stacked observations, one grid point per row.
             config: EM settings shared by all rows.
-            refine: ``"mle"`` polishes every uncollapsed row with
-                :meth:`refine_mle`, as :meth:`fit` documents.
+            refine: ``"none"`` for the plain EM (moment-based M-step)
+                or ``"mle"`` to follow EM on every uncollapsed row
+                with :meth:`refine_mle`, a direct L-BFGS ascent of the
+                full log-likelihood (Eq. 5).
 
         Returns:
             One entry per row: the fitted model, or the exception
             :meth:`fit` raises on that row.
         """
-        from repro.models.norm2 import GAUSSIAN_FAMILY
-
         if refine not in ("none", "mle"):
             raise ParameterError(
                 f"refine must be 'none' or 'mle', got {refine!r}"
             )
-        stack = _as_stack(samples)
-        n_points = stack.shape[0]
-        results: "list[LVF2Model | Exception | None]" = [None] * n_points
+        return super().fit_batch(samples, config=config, refine=refine)
 
-        warms: list[Mixture | None] = [None] * n_points
-        splits = _kmeans_starts(stack, config)
-        gaussian_results = fit_mixture_em_batch(
+    @classmethod
+    def _warm_starts(
+        cls,
+        stack: np.ndarray,
+        splits: list[KMeansResult | None],
+        config: EMConfig | None,
+    ) -> list[Mixture | Exception | None]:
+        """Each row's Norm2 warm start: a two-Gaussian EM fit.
+
+        The Gaussian EM runs from the row's k-means split and is recast
+        as zero-skew components.  Skew-normal mixtures generalise
+        Gaussian ones, so the warm start puts one LVF2 start in the
+        basin of a two-Gaussian fit.  It does not make LVF2 at least as
+        likely as Norm2: the warm start is the Gaussian fit from the
+        k-means split, not Norm2's best start, and the moment M-step is
+        not an ascent step, so LVF2 can end below Norm2 (the Table 1
+        Multi-Peaks scenario and a few Fig. 4 delay points do).  A
+        Gaussian fit that raises :class:`FittingError` or collapses
+        means "no warm start"; any other error fails the row.
+        """
+        warms: list[Mixture | Exception | None] = []
+        for gaussian in fit_mixture_em_batch(
             stack, GAUSSIAN_FAMILY, config=config, initials=splits
-        )
-        for p, gaussian in enumerate(gaussian_results):
-            if isinstance(gaussian, FittingError):
-                continue
-            if isinstance(gaussian, Exception):
-                results[p] = gaussian
-                continue
-            if gaussian.collapsed:
-                continue
-            try:
-                components = tuple(
-                    LVFModel(component.mu, component.sigma, 0.0)
-                    for component in gaussian.mixture.components
-                )
-                warms[p] = Mixture(gaussian.mixture.weights, components)
-            except Exception as error:  # noqa: BLE001 — row error
-                results[p] = error
+        ):
+            if isinstance(gaussian, FittingError) or (
+                isinstance(gaussian, EMResult) and gaussian.collapsed
+            ):
+                warms.append(None)
+            elif isinstance(gaussian, Exception):
+                warms.append(gaussian)
+            else:
+                try:
+                    components = tuple(
+                        LVFModel(component.mu, component.sigma, 0.0)
+                        for component in gaussian.mixture.components
+                    )
+                    warms.append(
+                        Mixture(gaussian.mixture.weights, components)
+                    )
+                except Exception as error:  # noqa: BLE001 — row error
+                    warms.append(error)
+        return warms
 
-        live = [p for p in range(n_points) if results[p] is None]
-        fits = fit_mixture_em_multistart(
-            stack[live],
-            SKEW_NORMAL_FAMILY,
-            config=config,
-            splits=[splits[p] for p in live],
-            extra_initials=[warms[p] for p in live],
-        )
-        for p, best in zip(live, fits):
-            if isinstance(best, Exception):
-                results[p] = best
-                continue
-            try:
-                model = cls._from_mixture(best.mixture)
-                if refine == "mle" and not model.is_collapsed:
-                    model = model.refine_mle(stack[p])
-                results[p] = model
-            except Exception as error:  # noqa: BLE001 — row error
-                results[p] = error
-        assert all(outcome is not None for outcome in results)
-        return results  # type: ignore[return-value]
+    @classmethod
+    def _finish(
+        cls,
+        model: "LVF2Model",
+        row: np.ndarray,
+        *,
+        refine: str = "none",
+        **kwargs: Any,
+    ) -> "LVF2Model":
+        """``refine="mle"`` polishes an uncollapsed model on its row."""
+        if refine == "mle" and not model.is_collapsed:
+            return model.refine_mle(row)
+        return model
 
     @classmethod
     def from_lvf(cls, lvf: LVFModel) -> "LVF2Model":

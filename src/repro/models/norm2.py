@@ -11,19 +11,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from repro.errors import raise_first
 from repro.models.base import TwoComponentModel, register_model
 from repro.models.gaussian import GaussianModel
-from repro.stats.em import (
-    ComponentFamily,
-    EMConfig,
-    _single_row,
-    fit_mixture_em_multistart,
-)
+from repro.stats.em import ComponentFamily
 from repro.stats.moments import _weighted_moments_rows
 from repro.stats.workspace import Workspace
 
@@ -109,58 +102,7 @@ class Norm2Model(TwoComponentModel):
     """
 
     name = "Norm2"
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fit(
-        cls,
-        samples: np.ndarray,
-        *,
-        config: EMConfig | None = None,
-        **kwargs: Any,
-    ) -> "Norm2Model":
-        """EM fit with k-means + moment initialisation (paper §3.2).
-
-        A batch of one: runs :meth:`fit_batch` on the samples as its
-        single row.
-        """
-        (model,) = raise_first(
-            cls.fit_batch(
-                _single_row(
-                    samples, "Norm2Model.fit", "Norm2Model.fit_batch"
-                ),
-                config=config,
-            )
-        )
-        return model
-
-    @classmethod
-    def fit_batch(
-        cls,
-        samples: np.ndarray,
-        *,
-        config: EMConfig | None = None,
-        **kwargs: Any,
-    ) -> "list[Norm2Model | Exception]":
-        """Fit one Norm2 model per row of a ``(n_points, n_samples)`` stack.
-
-        Multi-start EM (k-means and concentric seeds, best likelihood
-        wins) by :func:`~repro.stats.em.fit_mixture_em_multistart`,
-        all rows in lockstep.  Returns one entry per row: the fitted
-        model, or the exception :meth:`fit` raises on that row.
-        """
-        models: "list[Norm2Model | Exception]" = []
-        for best in fit_mixture_em_multistart(
-            samples, GAUSSIAN_FAMILY, config=config
-        ):
-            if isinstance(best, Exception):
-                models.append(best)
-                continue
-            try:
-                models.append(cls._from_mixture(best.mixture))
-            except Exception as error:  # noqa: BLE001 — row error
-                models.append(error)
-        return models
+    family = GAUSSIAN_FAMILY
 
     # ------------------------------------------------------------------
     @property

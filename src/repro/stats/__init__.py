@@ -13,11 +13,7 @@ from repro.stats.em import (
     fit_mixture_em_batch,
 )
 from repro.stats.extended_skew_normal import ExtendedSkewNormal
-from repro.stats.kmeans import (
-    KMeansResult,
-    kmeans_1d_batch,
-    kmeans_nd,
-)
+from repro.stats.kmeans import KMeansResult, kmeans_1d_batch
 from repro.stats.lhs import discrepancy, latin_hypercube, lhs_normal, lhs_transform
 from repro.stats.mixtures import Mixture, mixture_moments
 from repro.stats.moments import (
@@ -51,7 +47,6 @@ __all__ = [
     "fit_mixture_em",
     "fit_mixture_em_batch",
     "kmeans_1d_batch",
-    "kmeans_nd",
     "latin_hypercube",
     "lhs_normal",
     "lhs_transform",

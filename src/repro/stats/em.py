@@ -871,13 +871,16 @@ def fit_mixture_em_multistart(
     k-means seed, then from its :func:`concentric_initial` seed, then
     from its ``extra_initials`` entry when that is not ``None``; the
     row keeps the first start with the highest likelihood, in that
-    order.  This is what makes
-    LVF2 dominate Norm2 on the paper's Minor Saddle / Kurtosis
-    scenarios, where the default k-means basin is not the global one.
+    order.  This is what makes LVF2 dominate Norm2 on the paper's
+    Minor Saddle / Kurtosis scenarios, where the default k-means basin
+    is not the global one.
 
-    Each start is one :func:`fit_mixture_em_batch` sweep over the rows
-    that reach it; a row whose fit raises keeps that error and skips
-    its later starts.
+    Every start of every row is built up front (the concentric start
+    only for rows that pass validation) and all of them run in one
+    :func:`fit_mixture_em_batch` call.  Rows are independent in the
+    engine, so each start's result is the one it gets alone.  A row
+    keeps the first error in start order, whether its fit or the
+    computation of its concentric start raised it.
 
     Args:
         samples: 2-D stack, one row of observations per point.
@@ -893,47 +896,51 @@ def fit_mixture_em_multistart(
     """
     stack = _as_stack(samples)
     n_points = stack.shape[0]
-    split_list = _per_row(splits, n_points, "splits")
     extras = _per_row(extra_initials, n_points, "extra_initials")
-    results: list[EMResult | Exception | None] = [None] * n_points
-    candidates: list[list[EMResult]] = [[] for _ in range(n_points)]
-
-    def sweep(starts: dict[int, Mixture | KMeansResult | None]) -> None:
-        rows = list(starts)
-        if not rows:
-            return
-        outcomes = fit_mixture_em_batch(
-            stack if len(rows) == n_points else stack[rows],
-            family,
-            config=config,
-            initials=list(starts.values()),
-        )
-        for p, outcome in zip(rows, outcomes):
-            if isinstance(outcome, Exception):
-                results[p] = outcome
-            else:
-                candidates[p].append(outcome)
-
-    sweep(dict(enumerate(split_list)))
-    concentric: dict[int, Mixture | KMeansResult | None] = {}
+    # ``(row, start)`` in start order; a start may be the error that
+    # computing it raised.
+    starts: list[tuple[int, Any]] = list(
+        enumerate(_per_row(splits, n_points, "splits"))
+    )
     for p in range(n_points):
-        if results[p] is not None:
+        if _row_error(stack[p]) is not None:
             continue
         try:
             start = concentric_initial(stack[p], family)
         except Exception as error:  # captured per row
-            results[p] = error
+            starts.append((p, error))
             continue
         if start is not None:
-            concentric[p] = start
-    sweep(concentric)
-    sweep(
-        {
-            p: start
-            for p, start in enumerate(extras)
-            if start is not None and results[p] is None
-        }
+            starts.append((p, start))
+    starts += [
+        (p, start) for p, start in enumerate(extras) if start is not None
+    ]
+
+    fitted = [
+        i for i, (_, start) in enumerate(starts)
+        if not isinstance(start, Exception)
+    ]
+    rows = [starts[i][0] for i in fitted]
+    outcomes = dict(
+        zip(
+            fitted,
+            fit_mixture_em_batch(
+                stack[rows],
+                family,
+                config=config,
+                initials=[starts[i][1] for i in fitted],
+            ),
+        )
     )
+    results: list[EMResult | Exception | None] = [None] * n_points
+    candidates: list[list[EMResult]] = [[] for _ in range(n_points)]
+    for i, (p, start) in enumerate(starts):
+        outcome = outcomes.get(i, start)
+        if isinstance(outcome, Exception):
+            if results[p] is None:
+                results[p] = outcome
+        else:
+            candidates[p].append(outcome)
     for p in range(n_points):
         if results[p] is None:
             results[p] = max(candidates[p], key=lambda result: result.loglik)

@@ -3,13 +3,12 @@
 The LVF2 EM fit (paper §3.2) is initialised by partitioning the observed
 samples into two groups with k-means [13, Hartigan & Wong 1979] and
 deriving per-group moment estimates.  Timing samples are scalar, so the
-implementation is specialised (and exact-ish) for 1-D data, with a
-general N-D Lloyd iteration kept for completeness.
+implementation is 1-D only.
 
-The 1-D path, :func:`kmeans_1d_batch`, clusters a stack of sample rows
-at once (a single sample set is a batch of one): k-means++-style
-seeding followed by Lloyd iterations, which converge in a handful of
-passes for the bimodal shapes this library cares about.
+:func:`kmeans_1d_batch` clusters a stack of sample rows at once (a
+single sample set is a batch of one): k-means++-style seeding followed
+by Lloyd iterations, which converge in a handful of passes for the
+bimodal shapes this library cares about.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.errors import FittingError
 __all__ = [
     "KMeansResult",
     "kmeans_1d_batch",
-    "kmeans_nd",
     "split_by_labels",
 ]
 
@@ -33,8 +31,7 @@ class KMeansResult:
     """Outcome of a k-means run.
 
     Attributes:
-        centers: ``(k,)`` or ``(k, d)`` cluster centres, sorted by the
-            first coordinate for determinism.
+        centers: ``(k,)`` cluster centres, sorted for determinism.
         labels: Cluster index per sample, aligned with ``centers``.
         inertia: Sum of squared distances to assigned centres.
         iterations: Number of Lloyd iterations performed.
@@ -224,54 +221,6 @@ def kmeans_1d_batch(
     for p in valid_rows:
         results[p] = best[p]
     return results  # type: ignore[return-value]
-
-
-def kmeans_nd(
-    samples: np.ndarray,
-    n_clusters: int,
-    *,
-    max_iter: int = 100,
-    seed: int | None = 0,
-) -> KMeansResult:
-    """Lloyd's algorithm for ``(n, d)`` data.
-
-    Provided for completeness (multi-dimensional characterisation
-    features); the timing-fitting path uses :func:`kmeans_1d_batch`.
-    """
-    data = np.asarray(samples, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    n_samples = data.shape[0]
-    if n_samples < n_clusters:
-        raise FittingError(
-            f"need at least {n_clusters} samples for {n_clusters} clusters"
-        )
-    rng = np.random.default_rng(seed)
-    centers = data[rng.choice(n_samples, size=n_clusters, replace=False)]
-    labels = np.zeros(n_samples, dtype=np.intp)
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        distances = np.linalg.norm(
-            data[:, None, :] - centers[None, :, :], axis=2
-        )
-        new_labels = np.argmin(distances, axis=1)
-        for cluster in range(n_clusters):
-            mask = new_labels == cluster
-            if np.any(mask):
-                centers[cluster] = data[mask].mean(axis=0)
-        if np.array_equal(new_labels, labels) and iteration > 1:
-            converged = True
-            labels = new_labels
-            break
-        labels = new_labels
-    order = np.argsort(centers[:, 0])
-    centers = centers[order]
-    remap = np.empty_like(order)
-    remap[order] = np.arange(n_clusters)
-    labels = remap[labels]
-    inertia = float(np.sum((data - centers[labels]) ** 2))
-    return KMeansResult(centers, labels, inertia, iteration, converged)
 
 
 def split_by_labels(

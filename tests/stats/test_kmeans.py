@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FittingError, raise_first
-from repro.stats.kmeans import kmeans_1d_batch, kmeans_nd, split_by_labels
+from repro.stats.kmeans import kmeans_1d_batch, split_by_labels
 
 
 def kmeans_row(samples, n_clusters=2, **kwargs):
@@ -69,24 +69,6 @@ class TestKMeans1D:
         inertia2 = kmeans_row(data, 2).inertia
         inertia4 = kmeans_row(data, 4).inertia
         assert inertia4 < inertia2
-
-
-class TestKMeansND:
-    def test_two_blobs(self, rng):
-        blob_a = rng.normal([0, 0], 0.1, size=(100, 2))
-        blob_b = rng.normal([4, 4], 0.1, size=(80, 2))
-        data = np.vstack([blob_a, blob_b])
-        result = kmeans_nd(data, 2)
-        assert result.centers.shape == (2, 2)
-        assert sorted(result.cluster_sizes().tolist()) == [80, 100]
-
-    def test_1d_input_promoted(self, rng):
-        result = kmeans_nd(rng.normal(size=50), 2)
-        assert result.centers.shape == (2, 1)
-
-    def test_too_few_samples(self):
-        with pytest.raises(FittingError):
-            kmeans_nd(np.ones((1, 2)), 2)
 
 
 class TestSplitByLabels:
