@@ -1,7 +1,8 @@
 """Static analysis: determinism lint for sources and LVF2 artifacts.
 
-Three engines share one rule registry, finding model and reporters
-(see DESIGN.md §"Static analysis" and §12):
+Three engines share one rule registry, finding model and severity
+scale (:mod:`repro.findings`) and the reporters below (see DESIGN.md
+§"Static analysis" and §12):
 
 - :mod:`repro.analysis.python_lint` — an :mod:`ast`-based per-file
   linter for the repo's own sources, enforcing the reproducibility
@@ -9,11 +10,14 @@ Three engines share one rule registry, finding model and reporters
   characterisation workers depend on (RNG discipline, determinism
   hazards, numerical safety, shared-state rules).  CLI: ``repro
   lint``.
-- :mod:`repro.analysis.liberty_lint` — a domain linter over the parsed
-  Liberty AST that statically checks LVF2 semantics (λ range, Eq. 10
-  backward compatibility, LUT shape/axis agreement, mixture moment
-  sanity) so a bad library is rejected with rule-tagged diagnostics
-  before it reaches SSTA.  CLI: ``repro lint-lib``.
+- :mod:`repro.liberty.lint` — the one Liberty contract checker: it
+  walks the parsed Liberty AST and checks LVF2 semantics (λ range,
+  Eq. 10 backward compatibility, LUT shape/axis agreement, mixture
+  moment sanity, pins and structure) so a bad library is rejected
+  with rule-tagged diagnostics before it reaches SSTA.  It lives in
+  :mod:`repro.liberty` because ``validate_library`` runs it on bound
+  libraries; this package re-exports it.  CLI: ``repro lint-lib``
+  and ``repro validate``.
 - :mod:`repro.analysis.flow` — an interprocedural taint pass over the
   whole linted tree: determinism provenance (FLOW0xx — RNG/entropy/
   wall-clock/env values crossing function boundaries into sampling or
@@ -28,22 +32,10 @@ emit human text, telemetry-convention JSONL, or SARIF 2.1.0
 package imports nothing heavyweight at module load.
 """
 
-from repro.analysis.findings import (
-    REGISTRY,
-    Finding,
-    LintSeverity,
-    Rule,
-    RuleRegistry,
-)
 from repro.analysis.flow import (
     FlowConfig,
     lint_flow_paths,
     lint_flow_sources,
-)
-from repro.analysis.liberty_lint import (
-    collect_lib_files,
-    lint_library_paths,
-    lint_library_text,
 )
 from repro.analysis.python_lint import (
     LintConfig,
@@ -67,15 +59,21 @@ from repro.analysis.suppressions import (
     load_baseline,
     write_baseline,
 )
+from repro.findings import REGISTRY, Finding, Rule, RuleRegistry, Severity
+from repro.liberty.lint import (
+    collect_lib_files,
+    lint_library_paths,
+    lint_library_text,
+)
 
 __all__ = [
     "Finding",
     "FlowConfig",
     "LintConfig",
-    "LintSeverity",
     "REGISTRY",
     "Rule",
     "RuleRegistry",
+    "Severity",
     "SuppressionIndex",
     "apply_baseline",
     "apply_suppressions",

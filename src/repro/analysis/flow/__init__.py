@@ -1,7 +1,7 @@
 """Interprocedural flow lint: determinism provenance + pool FS races.
 
 The third lint engine.  Where :mod:`repro.analysis.python_lint` judges
-one line at a time and :mod:`repro.analysis.liberty_lint` judges one
+one line at a time and :mod:`repro.liberty.lint` judges one
 library at a time, this package follows *values* — RNG objects,
 wall-clock reads, ``os.environ`` lookups, pool-protocol paths —
 across call, return and attribute boundaries through the whole linted

@@ -26,7 +26,7 @@ machinery treat all three engines identically.
 
 from __future__ import annotations
 
-from repro.analysis.findings import Finding
+from repro.findings import Finding
 from repro.analysis.flow.symbols import SymbolTable, build_symbol_table
 from repro.analysis.flow.taint import FlowConfig, FunctionAnalyzer, Summary
 from repro.analysis.python_lint import collect_python_files

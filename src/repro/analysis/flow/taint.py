@@ -40,7 +40,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.findings import REGISTRY, Finding
+from repro.findings import REGISTRY, Finding
 from repro.analysis.flow.symbols import (
     FunctionInfo,
     ModuleInfo,

@@ -4,7 +4,7 @@ The rules are tuned to this codebase's reproducibility contract — the
 checkpoint/resume layer assumes identical inputs produce bit-identical
 arcs, and the future parallel characterisation workers assume no
 shared mutable module state.  Four rule families (ids in
-:mod:`repro.analysis.findings`):
+:mod:`repro.findings`):
 
 RNG discipline
     ``RNG001`` — any ``np.random.<fn>()`` global-state call (seeding or
@@ -45,7 +45,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.findings import REGISTRY, Finding
+from repro.findings import REGISTRY, Finding
 from repro.errors import ParameterError
 
 __all__ = ["LintConfig", "lint_source", "lint_paths", "collect_python_files"]

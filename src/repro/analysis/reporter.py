@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import TextIO
 
-from repro.analysis.findings import REGISTRY, Finding, LintSeverity
+from repro.findings import REGISTRY, Finding, Severity
 
 __all__ = [
     "fails",
@@ -42,7 +42,7 @@ _SARIF_SCHEMA = (
 def summarize(findings: list[Finding]) -> dict:
     """Aggregate counts for the summary line / JSONL trailer."""
     active = [finding for finding in findings if finding.is_active]
-    by_severity = {severity.value: 0 for severity in LintSeverity}
+    by_severity = {severity.value: 0 for severity in Severity}
     by_rule: dict[str, int] = {}
     for finding in active:
         by_severity[finding.severity.value] += 1
@@ -66,7 +66,7 @@ def fails(findings: list[Finding]) -> bool:
     """
     return any(
         finding.is_active
-        and finding.severity is not LintSeverity.INFO
+        and finding.severity is not Severity.INFO
         for finding in findings
     )
 

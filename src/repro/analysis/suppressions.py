@@ -29,7 +29,7 @@ import json
 import re
 from pathlib import Path
 
-from repro.analysis.findings import REGISTRY, Finding
+from repro.findings import REGISTRY, Finding
 from repro.errors import ParameterError
 from repro.runtime.export import write_text_file
 

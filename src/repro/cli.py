@@ -634,8 +634,7 @@ def _cmd_liberty(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.liberty import read_library
-    from repro.liberty.validate import Severity, validate_library
+    from repro.liberty import Severity, read_library, validate_library
 
     with open(args.library) as handle:
         library = read_library(handle.read())

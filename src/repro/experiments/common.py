@@ -10,7 +10,7 @@ metrics, and formatting aligned text tables.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -129,10 +129,3 @@ def format_table(
         )
     return "\n".join(lines)
 
-
-def geometric_mean_over(
-    mapping: Mapping[str, float], keys: Sequence[str]
-) -> float:
-    """Geometric mean of ``mapping[key]`` over ``keys``."""
-    values = np.array([mapping[key] for key in keys], dtype=float)
-    return float(np.exp(np.mean(np.log(np.maximum(values, 1e-12)))))

@@ -1,5 +1,6 @@
 """Liberty format substrate with the LVF2 extension (paper §2.2, §3.3)."""
 
+from repro.findings import Severity
 from repro.liberty.ast import ComplexAttribute, Group, SimpleAttribute
 from repro.liberty.library import Cell, Library, Pin, TimingArc, read_library
 from repro.liberty.lvf2_attrs import LVF2_PREFIXES, LVF2Tables, lvf2_attr_name
@@ -9,8 +10,8 @@ from repro.liberty.lvf_attrs import (
     LVFTables,
     lvf_attr_name,
 )
+from repro.liberty.lint import validate_library
 from repro.liberty.parser import parse_group, parse_liberty
-from repro.liberty.validate import Diagnostic, Severity, validate_library
 from repro.liberty.tables import Table, TableTemplate, parse_number_list
 from repro.liberty.writer import format_float, write_liberty
 
@@ -29,7 +30,6 @@ __all__ = [
     "Table",
     "TableTemplate",
     "TimingArc",
-    "Diagnostic",
     "Severity",
     "format_float",
     "lvf2_attr_name",

@@ -212,26 +212,28 @@ class LVF2Tables:
                 f"{nominal.values.shape}"
             )
 
-        def table_of(extract) -> Table:
+        def table_of(extract, source: np.ndarray = grid) -> Table:
             values = np.empty(grid.shape, dtype=float)
             for index in np.ndindex(grid.shape):
                 values[index] = extract(
-                    grid[index], nominal.values[index]
+                    source[index], nominal.values[index]
                 )
             return Table(
                 nominal.template, nominal.index_1, nominal.index_2, values
             )
 
         # Backward-compatible LVF view: overall moment match (Eq. 10
-        # read in reverse — what a legacy tool should see).
+        # read in reverse — what a legacy tool should see), projected
+        # once per grid point.
+        projected = np.empty(grid.shape, dtype=object)
+        for index in np.ndindex(grid.shape):
+            projected[index] = grid[index].to_lvf()
         lvf = LVFTables(
             base=base,
             nominal=nominal,
-            mean_shift=table_of(
-                lambda m, nom: m.to_lvf().mu - nom
-            ),
-            std_dev=table_of(lambda m, nom: m.to_lvf().sigma),
-            skewness=table_of(lambda m, nom: m.to_lvf().gamma),
+            mean_shift=table_of(lambda m, nom: m.mu - nom, projected),
+            std_dev=table_of(lambda m, nom: m.sigma, projected),
+            skewness=table_of(lambda m, nom: m.gamma, projected),
         )
         all_collapsed = all(
             grid[index].is_collapsed for index in np.ndindex(grid.shape)

@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 from scipy.special import log_ndtr, ndtr
 
 from repro.errors import ParameterError
 from repro.stats.moments import MomentSummary
+from repro.stats.quantiles import bracketed_ppf
 
 __all__ = ["ExtendedSkewNormal", "esn_standard_cumulants", "zeta_derivatives"]
 
@@ -176,29 +177,8 @@ class ExtendedSkewNormal:
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
         """Quantiles by bracketed root finding on :meth:`cdf`."""
-        quantiles = np.asarray(q, dtype=float)
-        scalar = quantiles.ndim == 0
-        flat = np.atleast_1d(quantiles)
-        if np.any((flat < 0.0) | (flat > 1.0)):
-            raise ParameterError("quantiles must lie in [0, 1]")
         summary = self.moments()
-        out = np.empty(flat.shape, dtype=float)
-        for index, prob in enumerate(flat):
-            if prob <= 0.0:
-                out[index] = -math.inf
-            elif prob >= 1.0:
-                out[index] = math.inf
-            else:
-                lo = summary.mean - 12.0 * summary.std
-                hi = summary.mean + 12.0 * summary.std
-                while float(self.cdf(lo)) > prob:
-                    lo -= 8.0 * summary.std
-                while float(self.cdf(hi)) < prob:
-                    hi += 8.0 * summary.std
-                out[index] = brentq(
-                    lambda value: float(self.cdf(value)) - prob, lo, hi
-                )
-        return out[0] if scalar else out.reshape(quantiles.shape)
+        return bracketed_ppf(self.cdf, q, summary.mean, summary.std)
 
     def rvs(
         self, size: int, rng: np.random.Generator | int | None = None

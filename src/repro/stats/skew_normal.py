@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
 
 from repro.errors import ParameterError
 from repro.stats.moments import MomentSummary
+from repro.stats.quantiles import bracketed_ppf
 
 __all__ = [
     "MAX_SKEWNESS",
@@ -271,32 +271,11 @@ class SkewNormal:
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
         """Quantile function by bracketed root-finding on the CDF."""
-        quantiles = np.asarray(q, dtype=float)
-        scalar = quantiles.ndim == 0
-        flat = np.atleast_1d(quantiles).astype(float)
-        if np.any((flat < 0.0) | (flat > 1.0)):
-            raise ParameterError("quantiles must lie in [0, 1]")
-        out = np.empty_like(flat)
         mean, std, _ = self.moments_tuple()
-        lo_0 = mean - 12.0 * std
-        hi_0 = mean + 12.0 * std
-        for index, prob in enumerate(flat):
-            if prob <= 0.0:
-                out[index] = -math.inf
-                continue
-            if prob >= 1.0:
-                out[index] = math.inf
-                continue
-            lo, hi = lo_0, hi_0
-            while self.cdf(lo) > prob:
-                lo -= 8.0 * std
-            while self.cdf(hi) < prob:
-                hi += 8.0 * std
-            out[index] = brentq(
-                lambda value: float(self.cdf(value)) - prob, lo, hi,
-                xtol=1e-12 * max(1.0, abs(mean)) + 1e-15,
-            )
-        return out[0] if scalar else out.reshape(quantiles.shape)
+        return bracketed_ppf(
+            self.cdf, q, mean, std,
+            xtol=1e-12 * max(1.0, abs(mean)) + 1e-15,
+        )
 
     # ------------------------------------------------------------------
     # Sampling and moments

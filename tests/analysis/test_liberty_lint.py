@@ -1,11 +1,10 @@
-"""Rule-by-rule tests for the Liberty/LVF2 domain lint engine."""
+"""Rule-by-rule tests for the Liberty/LVF2 contract checker."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import lint_library_text
-from repro.analysis.liberty_lint import collect_lib_files
+from repro.analysis import collect_lib_files, lint_library_text
 from repro.errors import ParameterError
 
 #: A full LVF2 library (all seven extension LUTs, nonzero lambda) that

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import REGISTRY, LintSeverity, lint_source
+from repro.analysis import REGISTRY, Severity, lint_source
 from repro.analysis.python_lint import collect_python_files
 from repro.errors import ParameterError
 
@@ -294,7 +294,7 @@ class TestEngineBehaviour:
         finding = next(f for f in findings if f.rule_id == "RNG001")
         assert finding.line == 2
         assert "np.random.seed(0)" in finding.source
-        assert finding.severity is LintSeverity.ERROR
+        assert finding.severity is Severity.ERROR
 
     def test_collect_missing_path_raises(self, tmp_path):
         with pytest.raises(ParameterError, match="no such file"):
