@@ -5,11 +5,15 @@ comments, ``//`` and ``#`` line comments, double-quoted strings with
 backslash-newline continuations (used for long ``values`` lists),
 bare-word atoms containing dots/units, and the six punctuation tokens
 ``( ) { } : ;`` plus the comma.
+
+The tokenizer is one compiled regular expression walked with
+``finditer``; the Python loop does only per-token work.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,8 +47,37 @@ _PUNCT = {
     ",": TokenKind.COMMA,
 }
 
-#: Characters that terminate a bare atom.
-_ATOM_TERMINATORS = set(' \t\r\n"(){}:;,')
+#: One token per match: the skipped run (whitespace, backslash-newline
+#: continuations, block and line comments) is the optional prefix, and
+#: the named group that closes last says what follows it.  Strings are
+#: the unrolled ``[^"\\]*(?:\\.[^"\\]*)*`` loop; a bare atom stops at
+#: a terminator or before ``/*`` and ``//``; the ``open_*`` groups catch
+#: an unterminated comment or string at its opening position.  Every
+#: character left after the skipped run starts one of these groups, so
+#: ``finditer`` never steps over text.
+_TOKEN = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | \\[\r\n] | /\*.*?\*/ | (?://|\#)[^\n]* )*
+    (?:
+        "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
+      | (?P<punct>[(){}:;,])
+      | (?P<atom>(?:[^ \t\r\n"(){}:;,/]+|/(?![*/]))+)
+      | (?P<open_comment>/\*)
+      | (?P<open_string>")
+      | (?P<eof>\Z)
+    )
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+
+#: A backslash escape inside a string: a continuation (``\`` before a
+#: newline or CRLF) is dropped, any other escaped character is kept.
+_ESCAPE = re.compile(r"\\(\r\n?|\n|.)", re.DOTALL)
+
+
+def _unescape(match: re.Match) -> str:
+    escaped = match.group(1)
+    return "" if escaped[0] in "\r\n" else escaped
 
 
 @dataclass(frozen=True)
@@ -63,104 +96,42 @@ class Token:
 def tokenize(source: str) -> Iterator[Token]:
     """Yield tokens from Liberty source text, ending with EOF.
 
+    Positions are 1-based; every character but ``\\n`` (``\\r`` and
+    tabs included) advances the column by one.
+
     Raises:
         LibertySyntaxError: On unterminated strings or block comments.
     """
-    position = 0
     line = 1
-    column = 1
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal position, line, column
-        for _ in range(count):
-            if position < length and source[position] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            position += 1
-
-    while position < length:
-        char = source[position]
-        # Whitespace (including escaped newlines between tokens).
-        if char in " \t\r\n":
-            advance(1)
-            continue
-        if char == "\\" and position + 1 < length and source[
-            position + 1
-        ] in "\r\n":
-            advance(2)
-            continue
-        # Comments.
-        if source.startswith("/*", position):
-            end = source.find("*/", position + 2)
-            if end < 0:
-                raise LibertySyntaxError(
-                    "unterminated block comment", line, column
-                )
-            advance(end + 2 - position)
-            continue
-        if source.startswith("//", position) or char == "#":
-            newline = source.find("\n", position)
-            advance((newline if newline >= 0 else length) - position)
-            continue
-        # Strings with backslash-newline continuation.
-        if char == '"':
-            start_line, start_column = line, column
-            advance(1)
-            pieces: list[str] = []
-            while True:
-                if position >= length:
-                    raise LibertySyntaxError(
-                        "unterminated string", start_line, start_column
-                    )
-                current = source[position]
-                if current == '"':
-                    advance(1)
-                    break
-                if current == "\\" and position + 1 < length:
-                    following = source[position + 1]
-                    if following in "\r\n":
-                        # Line continuation inside a quoted value list.
-                        advance(2)
-                        if (
-                            following == "\r"
-                            and position < length
-                            and source[position] == "\n"
-                        ):
-                            advance(1)
-                        continue
-                    pieces.append(following)
-                    advance(2)
-                    continue
-                pieces.append(current)
-                advance(1)
-            yield Token(
-                TokenKind.STRING, "".join(pieces), start_line, start_column
-            )
-            continue
-        # Punctuation.
-        if char in _PUNCT:
-            yield Token(_PUNCT[char], char, line, column)
-            advance(1)
-            continue
-        # Bare atom: numbers, identifiers, unit expressions like 1ns,
-        # arithmetic like 0.5*VDD.
-        start_line, start_column = line, column
-        start = position
-        while (
-            position < length
-            and source[position] not in _ATOM_TERMINATORS
-            and not source.startswith("/*", position)
-            and not source.startswith("//", position)
-        ):
-            advance(1)
-        atom = source[start:position]
-        if not atom:
+    line_start = 0  # offset of the first character of ``line``
+    scanned = 0  # newlines before this offset are counted into ``line``
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        start = match.start(group)
+        if group == "string":
+            start -= 1  # the token starts at its opening quote
+        newlines = source.count("\n", scanned, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", scanned, start) + 1
+        scanned = start
+        column = start - line_start + 1
+        if group == "atom":
+            yield Token(TokenKind.ATOM, match.group(group), line, column)
+        elif group == "punct":
+            text = match.group(group)
+            yield Token(_PUNCT[text], text, line, column)
+        elif group == "string":
+            text = match.group(group)
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            yield Token(TokenKind.STRING, text, line, column)
+        elif group == "eof":
+            yield Token(TokenKind.EOF, "", line, column)
+            return
+        elif group == "open_comment":
             raise LibertySyntaxError(
-                f"unexpected character {char!r}", start_line, start_column
+                "unterminated block comment", line, column
             )
-        yield Token(TokenKind.ATOM, atom, start_line, start_column)
-
-    yield Token(TokenKind.EOF, "", line, column)
+        else:
+            raise LibertySyntaxError("unterminated string", line, column)

@@ -4,18 +4,23 @@
 checkpoint directory:
 
 1. validate and shard the items by content key;
-2. spawn ``n_workers`` processes (spawn context) that drain their
-   shards and steal leftovers, coordinating only through claim files;
+2. spawn ``min(n_workers, pending)`` processes (spawn context) over
+   the *pending* items — those with no checkpoint entry yet — that
+   drain their shards and steal leftovers, coordinating only through
+   claim files; a resume over a complete store spawns none;
 3. join them and aggregate their exit codes per error family;
 4. if workers died retryably (injected kill, crash, signal) and items
-   remain, respawn a fresh round **without** fault plans — the
-   replacement workers reclaim the dead owners' claims;
+   remain, respawn a fresh round **without** fault plans over what is
+   still missing — the replacement workers reclaim the dead owners'
+   claims;
 5. run the *parent sweep*: the parent itself claims and computes
    anything still missing (the guarantee that a pool whose every
    worker died still terminates with a complete store), waiting out
    live foreign claims (another pool racing on the same directory)
    rather than duplicating their work;
-6. optionally merge the per-worker JSONL traces into one worker-tagged
+6. load every payload once (the integrity pass) and recompute in the
+   parent whatever fails to load;
+7. optionally merge the per-worker JSONL traces into one worker-tagged
    trace file (the "automatic merge at pool shutdown").
 
 Determinism: the pool's only output is the set of content-addressed
@@ -149,11 +154,13 @@ class PoolResult:
     Attributes:
         run_id: The pool run id (worker traces embed it).
         n_items: Item count of the run.
-        exit_codes: Worker exit codes, first round, worker order.
+        exit_codes: Worker exit codes, first round, worker order
+            (empty when no item was pending).
         respawn_exit_codes: Exit codes of replacement rounds.
         exit_families: ``family label -> count`` over all rounds.
         respawned: Replacement workers spawned.
-        parent_computed: Items the parent sweep computed itself.
+        parent_computed: Items the parent computed itself, in the
+            sweep or the post-sweep repair.
         invalidated: Entries dropped up front for a fresh
             (``reuse=False``) run.
         reclaimed: Stale/dead claims the parent sweep reclaimed.
@@ -174,6 +181,13 @@ class PoolResult:
     merged_trace: str | None = None
 
 
+def _pending(
+    items: tuple[WorkItem, ...], store: CheckpointStore
+) -> tuple[WorkItem, ...]:
+    """The items whose payload has no checkpoint entry yet, in order."""
+    return tuple(item for item in items if not store.contains(item.token))
+
+
 def _spawn_round(
     items: tuple[WorkItem, ...],
     store_dir: str,
@@ -181,10 +195,15 @@ def _spawn_round(
     run_id: str,
     round_index: int,
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Spawn one round of workers over ``items``; join them all."""
+    """Spawn one round of workers over the pending ``items``; join them.
+
+    The round is ``min(config.n_workers, len(items))`` workers wide,
+    and that width is the sharding modulus every worker uses.
+    """
+    n_workers = min(config.n_workers, len(items))
     context = multiprocessing.get_context("spawn")
     specs = []
-    for worker_id in range(config.n_workers):
+    for worker_id in range(n_workers):
         trace_path = None
         if config.trace_dir is not None:
             suffix = f"-r{round_index}" if round_index else ""
@@ -208,7 +227,7 @@ def _spawn_round(
         specs.append(
             WorkerSpec(
                 worker_id=worker_id,
-                n_workers=config.n_workers,
+                n_workers=n_workers,
                 store_dir=store_dir,
                 items=items,
                 claim_timeout=config.claim_timeout,
@@ -291,7 +310,20 @@ def run_pool(
             re-raised from the parent or repair sweep with serial
             semantics.
     """
-    sequence = tuple(items)
+    return _run(tuple(items), store, config)[0]
+
+
+def _run(
+    sequence: tuple[WorkItem, ...],
+    store: CheckpointStore,
+    config: PoolConfig,
+) -> tuple[PoolResult, list]:
+    """:func:`run_pool`, also returning the payloads it verified.
+
+    The integrity pass loads every entry once; those loads are the
+    returned payloads, in item order.  A payload that still fails to
+    load after the repair sweep is None.
+    """
     if config.n_workers < 1:
         raise ParameterError(
             f"pool needs n_workers >= 1, got {config.n_workers}"
@@ -316,7 +348,7 @@ def run_pool(
     ).hexdigest()[:12]
     result = PoolResult(run_id=run_id, n_items=len(sequence))
     if not sequence:
-        return result
+        return result, []
     shards(sequence, config.n_workers)  # validates duplicate tokens
     # The pool always *reads* existing entries (content-addressed ==
     # identical bytes); fresh-run semantics are honoured by dropping
@@ -332,6 +364,11 @@ def run_pool(
             for item in sequence
             for token in (item.token, *item.companions)
         )
+    # Workers are started for pending work only: a resume over a
+    # complete store spawns none.  An entry that exists but is torn is
+    # not pending here; the integrity pass below convicts and repairs it.
+    pending = _pending(sequence, pool_store)
+    n_workers = min(config.n_workers, len(pending))
     journal = PoolJournal(
         pool_store.directory, defaults={"run": run_id}
     )
@@ -341,7 +378,7 @@ def run_pool(
             store_dir,
             run_id=run_id,
             n_items=len(sequence),
-            n_workers=config.n_workers,
+            n_workers=n_workers,
             seed=config.seed,
         )
     except OSError:
@@ -349,18 +386,20 @@ def run_pool(
         # `repro status` its denominator, never the run.
         telemetry.counter_inc("pool.status_write_errors")
 
+    all_codes: list[int] = []
+    all_traces: list[str] = []
     with telemetry.span(
         "pool.run",
         stage="pool",
         n_items=len(sequence),
-        n_workers=config.n_workers,
+        n_workers=n_workers,
     ):
-        exit_codes, traces = _spawn_round(
-            sequence, store_dir, config, run_id, round_index=0
-        )
-        result.exit_codes = exit_codes
-        all_codes = list(exit_codes)
-        all_traces = list(traces)
+        if pending:
+            result.exit_codes, traces = _spawn_round(
+                pending, store_dir, config, run_id, round_index=0
+            )
+            all_codes.extend(result.exit_codes)
+            all_traces.extend(traces)
         round_index = 0
         while (
             round_index < _RESPAWN_ROUNDS
@@ -368,23 +407,19 @@ def run_pool(
                 code in _RETRYABLE_CODES or code < 0
                 for code in all_codes
             )
-            and pool_store.missing(
-                item.token for item in sequence
-            )
+            and (pending := _pending(sequence, pool_store))
         ):
             round_index += 1
             respawn_codes, respawn_traces = _spawn_round(
-                sequence, store_dir, config, run_id, round_index
+                pending, store_dir, config, run_id, round_index
             )
             result.respawn_exit_codes += respawn_codes
-            result.respawned += config.n_workers
+            result.respawned += len(respawn_codes)
             all_codes.extend(respawn_codes)
             all_traces.extend(respawn_traces)
-        computed, reclaimed = _parent_sweep(
+        result.parent_computed, result.reclaimed = _parent_sweep(
             sequence, pool_store, config, journal
         )
-        result.parent_computed = computed
-        result.reclaimed = reclaimed
     # Post-sweep integrity pass.  The sweep guarantees every item was
     # *executed*, but a hostile filesystem can still leave an entry
     # torn (checksum-quarantined on load) or temporarily invisible
@@ -394,10 +429,11 @@ def run_pool(
     # costs a recompute, never the run.  An item that is genuinely
     # uncomputable raises its own ReproError out of the repair sweep,
     # with the same serial semantics as the main sweep.
+    payloads = [pool_store.load(item.token) for item in sequence]
     invalid = tuple(
         item
-        for item in sequence
-        if pool_store.load(item.token) is None
+        for item, payload in zip(sequence, payloads)
+        if payload is None
     )
     if invalid:
         repaired, reclaimed = _parent_sweep(
@@ -406,6 +442,10 @@ def run_pool(
         result.parent_computed += repaired
         result.reclaimed += reclaimed
         telemetry.counter_inc("pool.repaired", len(invalid))
+        payloads = [
+            pool_store.load(item.token) if payload is None else payload
+            for item, payload in zip(sequence, payloads)
+        ]
     families: dict[str, int] = {}
     for code in all_codes:
         label = exit_family(code)
@@ -417,10 +457,10 @@ def run_pool(
     except OSError:
         telemetry.counter_inc("pool.status_write_errors")
 
-    telemetry.gauge_set("pool.workers", config.n_workers)
+    telemetry.gauge_set("pool.workers", n_workers)
     telemetry.counter_inc("pool.items", len(sequence))
-    telemetry.counter_inc("pool.parent_computed", computed)
-    telemetry.counter_inc("pool.reclaimed", reclaimed)
+    telemetry.counter_inc("pool.parent_computed", result.parent_computed)
+    telemetry.counter_inc("pool.reclaimed", result.reclaimed)
     if result.respawned:
         telemetry.counter_inc("pool.respawned", result.respawned)
     for label, count in sorted(families.items()):
@@ -435,7 +475,7 @@ def run_pool(
         )
         merge_trace_files(result.worker_traces, merged)
         result.merged_trace = merged
-    return result
+    return result, payloads
 
 
 def pool_payloads(
@@ -447,28 +487,27 @@ def pool_payloads(
 
     Without a caller-provided store the pool runs over a temporary
     directory, removed before returning (the payloads are held in
-    memory by then).  An entry that cannot be loaded after the run
-    (torn or hidden by a hostile filesystem) is recomputed in-parent
-    through the item's own task.
+    memory by then).  Each payload is the one the pool's integrity
+    pass loaded; an entry that still cannot be loaded after the
+    repair sweep (torn or hidden by a hostile filesystem) is
+    recomputed in-parent through the item's own task.
     """
     temp_dir = None
     if store is None:
         temp_dir = tempfile.mkdtemp(prefix="repro-pool-")
         store = CheckpointStore(temp_dir, reuse=True)
     try:
-        run_pool(items, store, config)
+        sequence = tuple(items)
+        payloads = _run(sequence, store, config)[1]
         reader = (
             store
             if store.reuse
             else CheckpointStore(store.directory, reuse=True)
         )
-        payloads = []
-        for item in items:
-            payload = reader.load(item.token)
-            if payload is None:
-                payload = item.task(reader, *item.args)
-            payloads.append(payload)
-        return payloads
+        return [
+            item.task(reader, *item.args) if payload is None else payload
+            for item, payload in zip(sequence, payloads)
+        ]
     finally:
         if temp_dir is not None:
             shutil.rmtree(temp_dir, ignore_errors=True)

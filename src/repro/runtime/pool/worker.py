@@ -72,7 +72,8 @@ class WorkerSpec:
         worker_id: This worker's shard index in ``[0, n_workers)``.
         n_workers: Total shard count (the sharding modulus).
         store_dir: Shared checkpoint/claim directory.
-        items: The *full* item list; the worker derives its own shard.
+        items: The round's pending items; the worker derives its own
+            shard.
         claim_timeout: Claim staleness threshold in seconds.
         seed: Run seed; the worker RNG stream derives from
             ``(seed, worker_id)``.

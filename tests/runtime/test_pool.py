@@ -20,7 +20,7 @@ from repro.circuits import (
     characterize_library,
 )
 from repro.errors import FittingError, ParameterError
-from repro.runtime import FitPolicy, FitReport, faults
+from repro.runtime import FitPolicy, FitReport, faults, telemetry
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import FaultPlan, FaultRule
 from repro.runtime.pool import (
@@ -29,10 +29,12 @@ from repro.runtime.pool import (
     PoolJournal,
     PoolResult,
     WorkItem,
+    pool_payloads,
     run_pool,
     shard_of,
     shards,
 )
+from repro.runtime.pool import pool as pool_module
 from tests.runtime.test_claims import dead_pid, plant_claim
 
 
@@ -153,6 +155,69 @@ class TestRunPool:
             )
 
 
+def fill(store, items):
+    for item in items:
+        store.save(item.token, item.task(store, *item.args))
+
+
+def no_spawn(*args, **kwargs):
+    raise AssertionError("a round of workers was started")
+
+
+class TestResume:
+    def test_complete_store_starts_no_worker(self, store, monkeypatch):
+        items = make_items(5)
+        fill(store, items)
+        monkeypatch.setattr(pool_module, "_spawn_round", no_spawn)
+        session = telemetry.TelemetrySession()
+        with telemetry.activate(session):
+            result = run_pool(items, store, config())
+        assert result.exit_codes == ()
+        assert result.parent_computed == 0
+        assert PoolJournal(store.directory).events("task") == ()
+        assert session.metrics.snapshot()["gauges"]["pool.workers"] == 0
+        (span,) = [
+            record
+            for record in session.tracer.records()
+            if record.name == "pool.run"
+        ]
+        assert span.tags["n_workers"] == 0
+        session.close()
+
+    def test_one_missing_item_starts_one_worker(self, store):
+        items = make_items(6)
+        fill(store, items[1:])
+        result = run_pool(items, store, config(n_workers=2))
+        assert len(result.exit_codes) == 1
+        assert result.exit_families == {"ok": 1}
+        (task,) = PoolJournal(store.directory).events("task")
+        assert task["key"] == items[0].key
+        assert store.load(items[0].token) == {"value": 0}
+
+    def test_payloads_are_loaded_once(self, store):
+        items = make_items(4)
+        fill(store, items)
+        payloads = pool_payloads(items, store, config())
+        assert payloads == [{"value": index**2} for index in range(4)]
+        assert store.hits == len(items)
+
+    def test_torn_entry_is_repaired_in_parent(self, store, monkeypatch):
+        items = make_items(3)
+        fill(store, items)
+        store.path_for(items[1].token).write_bytes(b"torn")
+        monkeypatch.setattr(pool_module, "_spawn_round", no_spawn)
+        session = telemetry.TelemetrySession()
+        with telemetry.activate(session):
+            payloads = pool_payloads(items, store, config())
+        assert payloads[1] == {"value": 1}
+        assert store.quarantined == 1
+        counters = session.metrics.snapshot()["counters"]
+        # The repair counts with the sweep, as in the result.
+        assert counters["pool.parent_computed"] == 1
+        assert counters["pool.repaired"] == 1
+        session.close()
+
+
 class TestWorkerDeath:
     def test_killed_worker_is_respawned_and_run_completes(self, store):
         items = make_items(6, task=killable_task)
@@ -235,7 +300,7 @@ class TestWorkerTraces:
         assert len(workers) >= 1  # at least one worker wrote spans
 
 
-def characterize(workers=1, pool=None):
+def characterize(workers=1, pool=None, checkpoint=None):
     engine = GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
     cells = [build_cell("INV", 1.0), build_cell("NAND2", 1.0)]
     config = CharacterizationConfig(
@@ -251,6 +316,7 @@ def characterize(workers=1, pool=None):
         isolate_errors=True,
         workers=workers,
         pool=pool,
+        checkpoint=checkpoint,
     )
     return library.to_text(), json.dumps(report.to_dict(), sort_keys=True)
 
@@ -273,3 +339,15 @@ class TestByteIdentity:
             fault_plans={0: plan},
         )
         assert characterize(workers=2, pool=pool) == serial
+
+    def test_resume_is_byte_identical_and_starts_no_worker(
+        self, serial, tmp_path, monkeypatch
+    ):
+        store = CheckpointStore(tmp_path / "store", reuse=True)
+        cold = characterize(workers=2, checkpoint=store)
+        assert cold == serial
+        monkeypatch.setattr(pool_module, "_spawn_round", no_spawn)
+        resumed = characterize(
+            workers=2, checkpoint=CheckpointStore(store.directory)
+        )
+        assert resumed == cold
