@@ -6,8 +6,11 @@ backslash-newline continuations (used for long ``values`` lists),
 bare-word atoms containing dots/units, and the six punctuation tokens
 ``( ) { } : ;`` plus the comma.
 
-The tokenizer is one compiled regular expression walked with
-``finditer``; the Python loop does only per-token work.
+One compiled regular expression walked once with ``finditer`` fills
+three parallel lists (:func:`scan`): a kind tag, the text and the
+source offset of every token.  The parser reads those lists by index;
+:func:`tokenize` is a view of the same scan that turns offsets into
+line/column and builds :class:`Token` objects.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterator
 
 from repro.errors import LibertySyntaxError
 
-__all__ = ["Token", "TokenKind", "tokenize"]
+__all__ = ["Token", "TokenKind", "position", "scan", "tokenize"]
 
 
 class TokenKind(enum.Enum):
@@ -36,16 +39,6 @@ class TokenKind(enum.Enum):
     COMMA = ","
     EOF = "eof"
 
-
-_PUNCT = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ":": TokenKind.COLON,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-}
 
 #: One token per match: the skipped run (whitespace, backslash-newline
 #: continuations, block and line comments) is the optional prefix, and
@@ -80,6 +73,78 @@ def _unescape(match: re.Match) -> str:
     return "" if escaped[0] in "\r\n" else escaped
 
 
+#: Group numbers of ``_TOKEN``, read with ``Match.lastindex``.
+_STRING = _TOKEN.groupindex["string"]
+_PUNCT = _TOKEN.groupindex["punct"]
+_ATOM = _TOKEN.groupindex["atom"]
+_OPEN_COMMENT = _TOKEN.groupindex["open_comment"]
+_EOF = _TOKEN.groupindex["eof"]
+
+#: Kind tag of the entry that ends the scan of malformed text.
+ERROR = "error"
+
+
+def scan(source: str) -> tuple[list[str], list[str], list[int]]:
+    """Scan Liberty text once into parallel ``(kinds, texts, starts)``.
+
+    Entry ``i`` is one token: ``kinds[i]`` is its :class:`TokenKind`
+    value (``"atom"``, ``"string"``, ``"eof"`` or the punctuation
+    character itself), ``texts[i]`` its text (strings without quotes,
+    escapes resolved) and ``starts[i]`` its source offset (a string's
+    opening quote).  The last entry is ``"eof"`` with empty text, or,
+    when the text holds an unterminated string or block comment,
+    :data:`ERROR` with the message as text at the opening offset.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    kind_append = kinds.append
+    text_append = texts.append
+    start_append = starts.append
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        if group == _ATOM:
+            kind_append("atom")
+            text_append(match[_ATOM])
+            start_append(match.start(_ATOM))
+        elif group == _PUNCT:
+            text = match[_PUNCT]
+            kind_append(text)
+            text_append(text)
+            start_append(match.start(_PUNCT))
+        elif group == _STRING:
+            text = match[_STRING]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            kind_append("string")
+            text_append(text)
+            start_append(match.start(_STRING) - 1)
+        else:
+            if group == _EOF:
+                kind_append("eof")
+                text_append("")
+            else:
+                kind_append(ERROR)
+                text_append(
+                    "unterminated block comment"
+                    if group == _OPEN_COMMENT
+                    else "unterminated string"
+                )
+            start_append(match.start(group))
+            break
+    return kinds, texts, starts
+
+
+def position(source: str, offset: int) -> tuple[int, int]:
+    """1-based ``(line, column)`` of ``offset`` in ``source``.
+
+    Every character but ``\\n`` (``\\r`` and tabs included) advances
+    the column by one.
+    """
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
 @dataclass(frozen=True)
 class Token:
     """One lexical token with its 1-based source position."""
@@ -96,42 +161,23 @@ class Token:
 def tokenize(source: str) -> Iterator[Token]:
     """Yield tokens from Liberty source text, ending with EOF.
 
-    Positions are 1-based; every character but ``\\n`` (``\\r`` and
-    tabs included) advances the column by one.
+    Positions are 1-based, as :func:`position` counts them.
 
     Raises:
-        LibertySyntaxError: On unterminated strings or block comments.
+        LibertySyntaxError: On unterminated strings or block comments,
+            after the tokens before them.
     """
+    kinds, texts, starts = scan(source)
     line = 1
     line_start = 0  # offset of the first character of ``line``
     scanned = 0  # newlines before this offset are counted into ``line``
-    for match in _TOKEN.finditer(source):
-        group = match.lastgroup
-        start = match.start(group)
-        if group == "string":
-            start -= 1  # the token starts at its opening quote
+    for kind, text, start in zip(kinds, texts, starts):
         newlines = source.count("\n", scanned, start)
         if newlines:
             line += newlines
             line_start = source.rfind("\n", scanned, start) + 1
         scanned = start
         column = start - line_start + 1
-        if group == "atom":
-            yield Token(TokenKind.ATOM, match.group(group), line, column)
-        elif group == "punct":
-            text = match.group(group)
-            yield Token(_PUNCT[text], text, line, column)
-        elif group == "string":
-            text = match.group(group)
-            if "\\" in text:
-                text = _ESCAPE.sub(_unescape, text)
-            yield Token(TokenKind.STRING, text, line, column)
-        elif group == "eof":
-            yield Token(TokenKind.EOF, "", line, column)
-            return
-        elif group == "open_comment":
-            raise LibertySyntaxError(
-                "unterminated block comment", line, column
-            )
-        else:
-            raise LibertySyntaxError("unterminated string", line, column)
+        if kind == ERROR:
+            raise LibertySyntaxError(text, line, column)
+        yield Token(TokenKind(kind), text, line, column)

@@ -41,20 +41,24 @@ _LIBRARY_ATTRS = (
 )
 
 
+#: Statistical LUT group name -> ``(prefix, base)``, aliases resolved;
+#: on a clash the first prefix in LVF, LVF2, alias order wins.
+_STAT_TABLES: dict[str, tuple[str, str]] = {}
+for _prefix in (*LVF_PREFIXES, *LVF2_PREFIXES, *PREFIX_ALIASES):
+    for _base in BASE_QUANTITIES:
+        _STAT_TABLES.setdefault(
+            f"{_prefix}_{_base}", (PREFIX_ALIASES.get(_prefix, _prefix), _base)
+        )
+del _prefix, _base
+
+
 def _match_stat_table(name: str) -> tuple[str, str] | None:
     """Split a LUT group name into ``(prefix, base)`` if statistical.
 
     ``ocv_std_dev_cell_rise`` -> ``("ocv_std_dev", "cell_rise")``;
     returns ``None`` for non-statistical group names.
     """
-    prefixes = tuple(LVF_PREFIXES) + tuple(LVF2_PREFIXES) + tuple(
-        PREFIX_ALIASES
-    )
-    for prefix in prefixes:
-        for base in BASE_QUANTITIES:
-            if name == f"{prefix}_{base}":
-                return (PREFIX_ALIASES.get(prefix, prefix), base)
-    return None
+    return _STAT_TABLES.get(name)
 
 
 @dataclass

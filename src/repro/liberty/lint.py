@@ -53,6 +53,7 @@ from repro.liberty.lvf2_attrs import LVF2_PREFIXES
 from repro.liberty.lvf_attrs import BASE_QUANTITIES, LVF_PREFIXES
 from repro.liberty.parser import parse_liberty
 from repro.liberty.tables import parse_number_list
+from repro.runtime import telemetry
 from repro.stats.skew_normal import MAX_SKEWNESS
 
 __all__ = [
@@ -567,7 +568,8 @@ def validate_library(library: Library) -> list[Finding]:
     ``library.to_group()``; findings carry the library name as their
     file.  An empty list means every rule holds.
     """
-    return _LibraryLinter(library.name).lint(library.to_group())
+    with telemetry.span("liberty.validate", stage="export"):
+        return _LibraryLinter(library.name).lint(library.to_group())
 
 
 def collect_lib_files(paths: list[str]) -> list[Path]:

@@ -10,52 +10,52 @@ files frequently omit semicolons after groups):
     complex_attr:= ATOM '(' args? ')' ';'?
     value       := (ATOM | STRING)+        -- joined with spaces
     args        := (ATOM | STRING) (',' (ATOM | STRING))*
+
+The parser walks the lexer's one scan (:func:`~repro.liberty.lexer.scan`)
+by index into its kind/text/offset lists; no token objects are built.
+A statement's ``line`` is counted from the newlines between successive
+statement starts, which only move forward, and an error's line/column
+is computed from its offset only when it is raised.
 """
 
 from __future__ import annotations
 
 from repro.errors import LibertySyntaxError
-from repro.liberty.ast import ComplexAttribute, Group, SimpleAttribute
-from repro.liberty.lexer import Token, TokenKind, tokenize
+from repro.liberty.ast import (
+    ComplexAttribute,
+    Group,
+    SimpleAttribute,
+    Statement,
+)
+from repro.liberty.lexer import ERROR, position, scan
+from repro.runtime import telemetry
 
 __all__ = ["parse_liberty", "parse_group"]
 
 
 class _Parser:
     def __init__(self, source: str) -> None:
-        self._tokens = list(tokenize(source))
-        self._index = 0
+        self._source = source
+        self._kinds, self._texts, self._starts = scan(source)
+        if self._kinds[-1] == ERROR:
+            raise self._error(self._texts[-1], len(self._kinds) - 1)
+        self._line = 1  # line of offset ``_counted``
+        self._counted = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._index]
+    def _error(self, message: str, index: int) -> LibertySyntaxError:
+        line, column = position(self._source, self._starts[index])
+        return LibertySyntaxError(message, line, column)
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.kind is not TokenKind.EOF:
-            self._index += 1
-        return token
-
-    def _expect(self, kind: TokenKind) -> Token:
-        token = self.current
-        if token.kind is not kind:
-            raise LibertySyntaxError(
-                f"expected {kind.value!r}, found {token.text!r}",
-                token.line,
-                token.column,
-            )
-        return self._advance()
-
-    def _skip_semicolons(self) -> None:
-        while self.current.kind is TokenKind.SEMI:
-            self._advance()
+    def _skip_semicolons(self, index: int) -> int:
+        kinds = self._kinds
+        while kinds[index] == ";":
+            index += 1
+        return index
 
     # ------------------------------------------------------------------
     def parse_file(self) -> Group:
         """Parse a whole file: exactly one top-level group."""
-        self._skip_semicolons()
-        group = self.parse_statement()
+        group, index = self.parse_statement(self._skip_semicolons(0))
         if not isinstance(group, Group):
             raise LibertySyntaxError(
                 "Liberty file must start with a group "
@@ -63,86 +63,76 @@ class _Parser:
                 1,
                 1,
             )
-        self._skip_semicolons()
-        tail = self.current
-        if tail.kind is not TokenKind.EOF:
-            raise LibertySyntaxError(
-                f"trailing content {tail.text!r} after top-level group",
-                tail.line,
-                tail.column,
+        index = self._skip_semicolons(index)
+        if self._kinds[index] != "eof":
+            raise self._error(
+                f"trailing content {self._texts[index]!r} after "
+                "top-level group",
+                index,
             )
         return group
 
-    def parse_statement(self) -> Group | SimpleAttribute | ComplexAttribute:
-        name_token = self._expect(TokenKind.ATOM)
-        name = name_token.text
-        if self.current.kind is TokenKind.COLON:
-            self._advance()
-            return self._parse_simple(name, name_token)
-        if self.current.kind is TokenKind.LPAREN:
-            return self._parse_parenthesised(name, name_token)
-        raise LibertySyntaxError(
-            f"expected ':' or '(' after {name!r}",
-            self.current.line,
-            self.current.column,
-        )
-
-    def _parse_simple(
-        self, name: str, name_token: Token
-    ) -> SimpleAttribute:
-        pieces: list[str] = []
-        while self.current.kind in (TokenKind.ATOM, TokenKind.STRING):
-            pieces.append(self._advance().text)
-        if not pieces:
-            raise LibertySyntaxError(
-                f"attribute {name!r} has no value",
-                name_token.line,
-                name_token.column,
+    def parse_statement(self, index: int) -> tuple[Statement, int]:
+        """Parse the statement at token ``index``; return it and the
+        index after it (and after any semicolons that follow)."""
+        kinds = self._kinds
+        texts = self._texts
+        if kinds[index] != "atom":
+            raise self._error(
+                f"expected 'atom', found {texts[index]!r}", index
             )
-        self._skip_semicolons()
-        return SimpleAttribute(
-            name, " ".join(pieces), line=name_token.line
-        )
-
-    def _parse_args(self) -> list[str]:
-        self._expect(TokenKind.LPAREN)
-        args: list[str] = []
-        while self.current.kind is not TokenKind.RPAREN:
-            if self.current.kind in (TokenKind.ATOM, TokenKind.STRING):
-                args.append(self._advance().text)
-            elif self.current.kind is TokenKind.COMMA:
-                self._advance()
-            else:
-                raise LibertySyntaxError(
-                    f"unexpected {self.current.text!r} in argument list",
-                    self.current.line,
-                    self.current.column,
+        name_index = index
+        name = texts[index]
+        start = self._starts[index]
+        self._line += self._source.count("\n", self._counted, start)
+        self._counted = start
+        line = self._line
+        index += 1
+        kind = kinds[index]
+        if kind == ":":
+            index += 1
+            first = index
+            while kinds[index] == "atom" or kinds[index] == "string":
+                index += 1
+            if index == first:
+                raise self._error(
+                    f"attribute {name!r} has no value", name_index
                 )
-        self._expect(TokenKind.RPAREN)
-        return args
-
-    def _parse_parenthesised(
-        self, name: str, name_token: Token
-    ) -> Group | ComplexAttribute:
-        args = self._parse_args()
-        if self.current.kind is TokenKind.LBRACE:
-            self._advance()
-            group = Group(name, args, line=name_token.line)
-            self._skip_semicolons()
-            while self.current.kind is not TokenKind.RBRACE:
-                if self.current.kind is TokenKind.EOF:
-                    raise LibertySyntaxError(
-                        f"unclosed group {name!r}",
-                        name_token.line,
-                        name_token.column,
-                    )
-                group.statements.append(self.parse_statement())
-                self._skip_semicolons()
-            self._expect(TokenKind.RBRACE)
-            self._skip_semicolons()
-            return group
-        self._skip_semicolons()
-        return ComplexAttribute(name, args, line=name_token.line)
+            return (
+                SimpleAttribute(
+                    name, " ".join(texts[first:index]), line=line
+                ),
+                self._skip_semicolons(index),
+            )
+        if kind != "(":
+            raise self._error(
+                f"expected ':' or '(' after {name!r}", index
+            )
+        index += 1
+        args: list[str] = []
+        while (kind := kinds[index]) != ")":
+            if kind == "atom" or kind == "string":
+                args.append(texts[index])
+            elif kind != ",":
+                raise self._error(
+                    f"unexpected {texts[index]!r} in argument list", index
+                )
+            index += 1
+        index += 1
+        if kinds[index] != "{":
+            return (
+                ComplexAttribute(name, args, line=line),
+                self._skip_semicolons(index),
+            )
+        group = Group(name, args, line=line)
+        statements = group.statements
+        index = self._skip_semicolons(index + 1)
+        while (kind := kinds[index]) != "}":
+            if kind == "eof":
+                raise self._error(f"unclosed group {name!r}", name_index)
+            statement, index = self.parse_statement(index)
+            statements.append(statement)
+        return group, self._skip_semicolons(index + 1)
 
 
 def parse_liberty(source: str) -> Group:
@@ -151,11 +141,13 @@ def parse_liberty(source: str) -> Group:
     Raises:
         LibertySyntaxError: With line/column on any malformed input.
     """
-    return _Parser(source).parse_file()
+    with telemetry.span("liberty.parse", stage="export"):
+        group = _Parser(source).parse_file()
+    telemetry.counter_inc("liberty.parsed_bytes", len(source))
+    return group
 
 
-def parse_group(source: str) -> Group | SimpleAttribute | ComplexAttribute:
+def parse_group(source: str) -> Statement:
     """Parse a single statement (useful for snippets in tests)."""
-    parser = _Parser(source)
-    statement = parser.parse_statement()
+    statement, _ = _Parser(source).parse_statement(0)
     return statement

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import LibertySemanticError
 from repro.liberty.ast import Group
-from repro.liberty.writer import format_float
+from repro.liberty.writer import format_float_list
 
 __all__ = ["TableTemplate", "Table", "parse_number_list"]
 
@@ -27,9 +27,7 @@ def parse_number_list(text: str) -> tuple[float, ...]:
     if not cleaned:
         return ()
     try:
-        return tuple(
-            float(piece) for piece in cleaned.replace(",", " ").split()
-        )
+        return tuple(map(float, cleaned.replace(",", " ").split()))
     except ValueError as error:
         raise LibertySemanticError(
             f"malformed number list {text!r}: {error}"
@@ -80,14 +78,9 @@ class TableTemplate:
         group.set("variable_1", self.variable_1)
         if self.variable_2 is not None:
             group.set("variable_2", self.variable_2)
-        group.set_complex(
-            "index_1", [", ".join(format_float(v) for v in self.index_1)]
-        )
+        group.set_complex("index_1", [format_float_list(self.index_1)])
         if self.index_2:
-            group.set_complex(
-                "index_2",
-                [", ".join(format_float(v) for v in self.index_2)],
-            )
+            group.set_complex("index_2", [format_float_list(self.index_2)])
         return group
 
     @property
@@ -149,7 +142,7 @@ class Table:
                 "no template to inherit one from"
             )
         rows = group.get_complex("values")
-        if rows is None:
+        if not rows:
             raise LibertySemanticError(
                 f"table {group.name}({group.label}) missing values"
             )
@@ -161,6 +154,12 @@ class Table:
                 flat = np.asarray(parsed_rows[0])
                 values = flat.reshape(len(index_1), len(index_2))
             else:
+                lengths = [len(row) for row in parsed_rows]
+                if len(set(lengths)) > 1:
+                    raise LibertySemanticError(
+                        f"table {group.name}({group.label}) value grid "
+                        f"is ragged: row lengths {lengths}"
+                    )
                 values = np.asarray(parsed_rows, dtype=float)
         else:
             values = np.asarray(parsed_rows[0], dtype=float)
@@ -177,22 +176,16 @@ class Table:
         """Serialise as a LUT group named ``group_name``."""
         group = Group(group_name, [self.template] if self.template else [])
         if include_indices:
-            group.set_complex(
-                "index_1",
-                [", ".join(format_float(v) for v in self.index_1)],
-            )
+            group.set_complex("index_1", [format_float_list(self.index_1)])
             if self.index_2:
                 group.set_complex(
-                    "index_2",
-                    [", ".join(format_float(v) for v in self.index_2)],
+                    "index_2", [format_float_list(self.index_2)]
                 )
+        values = self.values.tolist()
         if self.index_2:
-            rows = [
-                ", ".join(format_float(v) for v in row)
-                for row in self.values
-            ]
+            rows = [format_float_list(row) for row in values]
         else:
-            rows = [", ".join(format_float(v) for v in self.values)]
+            rows = [format_float_list(values)]
         group.set_complex("values", rows)
         return group
 

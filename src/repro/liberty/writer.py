@@ -8,10 +8,12 @@ continuations the way commercial characterisation tools emit them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.liberty.ast import ComplexAttribute, Group, SimpleAttribute
 from repro.runtime import telemetry
 
-__all__ = ["write_liberty", "format_float"]
+__all__ = ["write_liberty", "format_float", "format_float_list"]
 
 #: Complex attributes whose arguments are quoted number lists.
 _QUOTED_LIST_ATTRS = {"values", "index_1", "index_2", "index_3"}
@@ -27,6 +29,16 @@ def format_float(value: float, precision: int = 6) -> str:
     """
     text = f"{value:.{precision}g}"
     return text
+
+
+def format_float_list(values: Iterable[float]) -> str:
+    """``", "``-joined :func:`format_float` texts of ``values``.
+
+    Give it Python floats (``ndarray.tolist()``), not numpy scalars:
+    the text is the same and formatting a float is several times
+    cheaper.
+    """
+    return ", ".join([f"{value:.6g}" for value in values])
 
 
 def _format_complex(attribute: ComplexAttribute, indent: str) -> str:

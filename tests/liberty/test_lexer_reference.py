@@ -3,37 +3,19 @@
 Every input must give the same ``(kind, text, line, column)`` for every
 token and, when the text is malformed, the same ``LibertySyntaxError``
 message and position.  The parser reads the emitted library back
-through ``tokenize``, so "parses OK" is not enough: the streams must be
-equal token for token.
+through the scan ``tokenize`` is a view of, so "parses OK" is not
+enough: the streams must be equal token for token.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import (
-    CharacterizationConfig,
-    GateTimingEngine,
-    TT_GLOBAL_LOCAL_MC,
-    build_cell,
-    characterize_library,
-)
 from repro.errors import LibertySyntaxError
-from repro.experiments.table2 import CELL_TYPES, Table2Config
 from repro.liberty.lexer import tokenize
-from repro.runtime import FitPolicy
 from tests.liberty import reference_lexer
-
-GOLDEN = (
-    Path(__file__).resolve().parents[1]
-    / "integration"
-    / "golden"
-    / "inv_nand2_grid2_s128_seed7.lib"
-)
 
 #: Liberty-shaped pieces, chosen to hit every lexical corner: CRLF,
 #: backslash-newline inside and outside strings, escaped quotes, ``#``
@@ -139,27 +121,6 @@ def test_matches_reference_on_liberty_like_text(source):
 )
 def test_matches_reference_on_edge_cases(source):
     assert_same(source)
-
-
-@pytest.fixture(scope="module")
-def golden_text() -> str:
-    return GOLDEN.read_text()
-
-
-@pytest.fixture(scope="module")
-def table2_text() -> str:
-    """Liberty text of the first eight Table 2 cells on Table 2's grid."""
-    grid = Table2Config()
-    library = characterize_library(
-        GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC),
-        [build_cell(kind) for kind in list(CELL_TYPES)[:8]],
-        CharacterizationConfig(
-            slews=grid.slews, loads=grid.loads, n_samples=32, seed=3
-        ),
-        policy=FitPolicy(),
-        isolate_errors=True,
-    )
-    return library.to_text()
 
 
 class TestFixedCorpus:

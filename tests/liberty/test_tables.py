@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import LibertySemanticError
 from repro.liberty.parser import parse_group
 from repro.liberty.tables import Table, TableTemplate, parse_number_list
+from repro.liberty.writer import format_float
 
 
 class TestParseNumberList:
@@ -108,6 +109,23 @@ class TestTable:
         with pytest.raises(LibertySemanticError, match="values"):
             Table.from_group(group)
 
+    def test_from_group_empty_values(self):
+        group = parse_group('cell_rise (t) { index_1 ("0.1"); values (); }')
+        with pytest.raises(LibertySemanticError, match="missing values"):
+            Table.from_group(group)
+
+    def test_from_group_ragged_values(self):
+        group = parse_group(
+            'cell_rise (t) { index_1 ("0.1, 0.2"); index_2 ("1, 2"); '
+            'values ("1, 2", "3"); }'
+        )
+        with pytest.raises(
+            LibertySemanticError,
+            match=r"cell_rise\(t\) value grid is ragged: "
+            r"row lengths \[2, 1\]",
+        ):
+            Table.from_group(group)
+
     def test_from_group_no_indices_no_template(self):
         group = parse_group('cell_rise (t) { values ("1"); }')
         with pytest.raises(LibertySemanticError, match="index_1"):
@@ -128,6 +146,80 @@ class TestTable:
         table = Table.filled(template, 1.0)
         with pytest.raises(LibertySemanticError):
             table.value_at(0)
+
+
+#: Values whose ``.6g`` text is easiest to get wrong.
+SPECIAL_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2250738585072014e-308,
+    1e-310,
+    1e300,
+    -1e300,
+    1.7976931348623157e308,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+    0.1,
+    123456.5,
+    1234567.0,
+)
+
+lut_float = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def reference_row(row) -> str:
+    """A row as it was written before rows came from ``tolist()``:
+    each numpy scalar through :func:`format_float`."""
+    return ", ".join(format_float(v) for v in row)
+
+
+class TestLutText:
+    """``to_group`` writes the same bytes as per-scalar formatting."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n1: st.integers(1, 5).flatmap(
+                lambda n2: st.lists(
+                    lut_float, min_size=n1 * n2, max_size=n1 * n2
+                ).map(lambda flat: np.array(flat).reshape(n1, n2))
+            )
+        )
+    )
+    def test_2d_rows(self, grid):
+        n1, n2 = grid.shape
+        index_1 = tuple(float(i + 1) for i in range(n1))
+        index_2 = tuple(float(j + 1) for j in range(n2))
+        group = Table("t", index_1, index_2, grid).to_group("cell_rise")
+        assert group.get_complex("values") == [
+            reference_row(row) for row in grid
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(lut_float, min_size=1, max_size=12).map(np.array))
+    def test_1d_row_and_axes(self, values):
+        axis = tuple(values.tolist())
+        group = Table("t", axis, (), values).to_group("cell_rise")
+        assert group.get_complex("values") == [reference_row(values)]
+        assert group.get_complex("index_1") == [reference_row(values)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(lut_float, min_size=1, max_size=8),
+        st.lists(lut_float, max_size=8),
+    )
+    def test_template_axes(self, index_1, index_2):
+        group = TableTemplate(
+            "t", "x", "y", tuple(np.array(index_1)), tuple(index_2)
+        ).to_group()
+        assert group.get_complex("index_1") == [reference_row(index_1)]
+        expected = [reference_row(index_2)] if index_2 else None
+        assert group.get_complex("index_2") == expected
 
 
 class TestInterpolation:

@@ -8,6 +8,9 @@ is checked against hand-computed values.
 
 from __future__ import annotations
 
+from pathlib import Path
+
+from repro.runtime import telemetry
 from repro.runtime.telemetry import (
     PHASES,
     SpanRecord,
@@ -15,6 +18,13 @@ from repro.runtime.telemetry import (
     analyze_trace,
     phase_of,
     render_analysis,
+)
+
+GOLDEN_LIB = (
+    Path(__file__).resolve().parents[1]
+    / "integration"
+    / "golden"
+    / "inv_nand2_grid2_s128_seed7.lib"
 )
 
 
@@ -114,6 +124,28 @@ class TestSelfTimeAttribution:
         assert analysis.span_count == 0
         assert analysis.phases == []
         assert render_analysis(analysis) == "trace: no spans to analyze"
+
+
+class TestLibertyReadPath:
+    def test_read_and_validate_land_in_export(self):
+        from repro.liberty import read_library, validate_library
+
+        text = GOLDEN_LIB.read_text()
+        session = telemetry.TelemetrySession()
+        with telemetry.activate(session):
+            assert validate_library(read_library(text)) == []
+        records = session.tracer.records()
+        counters = session.metrics.snapshot()["counters"]
+        session.close()
+
+        by_name = {record.name: record for record in records}
+        assert {"liberty.parse", "liberty.validate"} <= set(by_name)
+        assert by_name["liberty.parse"].tags["stage"] == "export"
+        assert by_name["liberty.validate"].tags["stage"] == "export"
+        assert counters["liberty.parsed_bytes"] == len(text)
+        analysis = analyze_trace(TraceData(spans=list(records)))
+        assert [p.phase for p in analysis.phases] == ["export"]
+        assert telemetry.stage_totals(records).keys() == {"export"}
 
 
 class TestWorkerReports:

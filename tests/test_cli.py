@@ -225,6 +225,22 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    def test_validate_ragged_values_grid(self, tmp_path, capsys):
+        # A ragged LUT is a Liberty error (exit 4, one line), not a
+        # numpy traceback.
+        path = tmp_path / "ragged.lib"
+        path.write_text(
+            "library (x) { cell (A) { pin (Z) { direction : output; "
+            "timing () { related_pin : A; cell_rise (t) { "
+            'index_1 ("0.1, 0.2"); index_2 ("1, 2"); '
+            'values ("1, 2", "3"); } } } } }\n'
+        )
+        assert main(["validate", str(path)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert "ragged" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_samples_file(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "nope.npy")]) == 2
         assert "error:" in capsys.readouterr().err
