@@ -294,12 +294,7 @@ def simulate_condition(
     nominal_transition)``.
     """
     started = time.perf_counter()
-    with telemetry.span(
-        "mc.condition",
-        stage="sampling",
-        slew_index=i,
-        load_index=j,
-    ):
+    with telemetry.span("mc.condition", slew_index=i, load_index=j):
         result: ArcSimResult = engine.simulate_arc(
             topology,
             config.slews[i],
@@ -423,7 +418,7 @@ def _lvf2_tables(
         config.loads,
         char.nominal(quantity),
     )
-    with telemetry.span("liberty.tables", stage="export", table=base):
+    with telemetry.span("liberty.tables", table=base):
         return LVF2Tables.from_models(base, nominal, models)
 
 

@@ -1019,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest",
         default=None,
         metavar="FILE",
-        help="write the run manifest (config hash, stage timings, "
+        help="write the run manifest (config hash, phase timings, "
         "library checksum) as JSON",
     )
 
@@ -1190,7 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_summarize = trace_sub.add_parser(
         "summarize",
-        help="pretty-print the span tree, stage totals and metrics",
+        help="pretty-print the span tree, phase times and metrics",
     )
     trace_summarize.add_argument(
         "file",

@@ -230,8 +230,11 @@ class _LibraryLinter:
             self._emit("LIB008", group.line, location, str(error))
             return None
         template = group.label
-        if not index_1 and template in self.templates:
-            index_1, index_2 = self.templates[template]
+        if template in self.templates:
+            # Each missing axis comes from the template, as in the binder.
+            template_1, template_2 = self.templates[template]
+            index_1 = index_1 or template_1
+            index_2 = index_2 or template_2
         shape: tuple[int, ...] | None
         row_lengths = {len(row) for row in rows}
         if len(rows) == 1 and index_2 and len(
@@ -239,6 +242,14 @@ class _LibraryLinter:
         ) == len(index_1) * len(index_2):
             # Flattened single-row 2-D form, accepted by the parser.
             shape = (len(index_1), len(index_2))
+        elif index_1 and not index_2 and len(rows) > 1:
+            self._emit(
+                "LIB008",
+                group.line,
+                location,
+                f"{group.name} is 1-D but has {len(rows)} values rows",
+            )
+            shape = None
         elif len(row_lengths) > 1:
             self._emit(
                 "LIB008",
@@ -568,7 +579,7 @@ def validate_library(library: Library) -> list[Finding]:
     ``library.to_group()``; findings carry the library name as their
     file.  An empty list means every rule holds.
     """
-    with telemetry.span("liberty.validate", stage="export"):
+    with telemetry.span("liberty.validate"):
         return _LibraryLinter(library.name).lint(library.to_group())
 
 

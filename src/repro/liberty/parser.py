@@ -141,7 +141,7 @@ def parse_liberty(source: str) -> Group:
     Raises:
         LibertySyntaxError: With line/column on any malformed input.
     """
-    with telemetry.span("liberty.parse", stage="export"):
+    with telemetry.span("liberty.parse"):
         group = _Parser(source).parse_file()
     telemetry.counter_inc("liberty.parsed_bytes", len(source))
     return group

@@ -161,6 +161,11 @@ class Table:
                         f"is ragged: row lengths {lengths}"
                     )
                 values = np.asarray(parsed_rows, dtype=float)
+        elif len(parsed_rows) > 1:
+            raise LibertySemanticError(
+                f"table {group.name}({group.label}) is 1-D but has "
+                f"{len(parsed_rows)} values rows"
+            )
         else:
             values = np.asarray(parsed_rows[0], dtype=float)
         return cls(

@@ -80,9 +80,7 @@ def _write_group(group: Group, depth: int, lines: list[str]) -> None:
 
 def write_liberty(group: Group) -> str:
     """Serialise ``group`` (typically a ``library``) to Liberty text."""
-    with telemetry.span(
-        "liberty.serialize", stage="export", group=group.name
-    ):
+    with telemetry.span("liberty.serialize", group=group.name):
         lines: list[str] = []
         _write_group(group, 0, lines)
         lines.append("")

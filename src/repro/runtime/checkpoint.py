@@ -179,7 +179,7 @@ class CheckpointStore:
             self.misses += 1
             telemetry.counter_inc("checkpoint.miss")
             return None
-        with telemetry.span("checkpoint.load", stage="checkpoint"):
+        with telemetry.span("checkpoint.load"):
             try:
                 blob = fsfaults.read_bytes(path, op="checkpoint.read")
             except FileNotFoundError:
@@ -223,7 +223,7 @@ class CheckpointStore:
             dir=self.directory, suffix=".tmp"
         )
         os.close(descriptor)
-        with telemetry.span("checkpoint.save", stage="checkpoint"):
+        with telemetry.span("checkpoint.save"):
             try:
                 fsfaults.write_bytes(
                     tmp_name, blob, op="checkpoint.write"

@@ -62,9 +62,7 @@ def write_text_file(
     truncate = faults.export_truncate_bytes()
     if truncate is not None:
         data = data[:truncate]
-    with telemetry.span(
-        "export.write", stage="export", path=str(destination)
-    ):
+    with telemetry.span("export.write", path=str(destination)):
         try:
             descriptor, tmp_name = tempfile.mkstemp(
                 dir=destination.parent, suffix=".tmp"

@@ -459,9 +459,7 @@ def _with_retries(
         if error.errno not in TRANSIENT_ERRNOS or policy.retries < 1:
             raise
         last = error
-    with telemetry.span(
-        "fs.retry", stage="fs", op=op, path=path.name
-    ):
+    with telemetry.span("fs.retry", op=op, path=path.name):
         for retry_index in range(policy.retries):
             telemetry.counter_inc("fs.retries")
             telemetry.counter_inc(f"fs.retries.{op}")

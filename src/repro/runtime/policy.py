@@ -230,9 +230,7 @@ class FitPolicy:
             for index, finite in enumerate(finites):
                 if finite.size:
                     groups.setdefault(finite.size, []).append(index)
-            with telemetry.span(
-                "fit.prefit_batch", stage="fitting", n_points=len(items)
-            ):
+            with telemetry.span("fit.prefit_batch", n_points=len(items)):
                 for members in groups.values():
                     batch = LVF2Model.fit_batch(
                         np.stack([finites[i] for i in members])
@@ -242,7 +240,6 @@ class FitPolicy:
             context = context_list[index]
             with telemetry.span(
                 "fit.ladder",
-                stage="fitting",
                 condition=context.condition if context else "",
             ):
                 outcome = self._walk_ladder(

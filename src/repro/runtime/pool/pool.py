@@ -389,10 +389,7 @@ def _run(
     all_codes: list[int] = []
     all_traces: list[str] = []
     with telemetry.span(
-        "pool.run",
-        stage="pool",
-        n_items=len(sequence),
-        n_workers=n_workers,
+        "pool.run", n_items=len(sequence), n_workers=n_workers
     ):
         if pending:
             result.exit_codes, traces = _spawn_round(

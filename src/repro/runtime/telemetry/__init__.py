@@ -35,13 +35,10 @@ from repro.runtime.telemetry.analyze import (
     WorkerReport,
     analyze_trace,
     phase_of,
+    phase_totals,
     render_analysis,
 )
-from repro.runtime.telemetry.merge import (
-    MERGE_SCHEMA,
-    merge_trace_files,
-    read_jsonl_lenient,
-)
+from repro.runtime.telemetry.merge import MERGE_SCHEMA, merge_trace_files
 from repro.runtime.telemetry.metrics import (
     Counter,
     Gauge,
@@ -61,7 +58,12 @@ from repro.runtime.telemetry.session import (
     observe,
     span,
 )
-from repro.runtime.telemetry.sinks import CallableSink, JsonlSink, read_jsonl
+from repro.runtime.telemetry.sinks import (
+    CallableSink,
+    JsonlSink,
+    read_jsonl,
+    read_jsonl_lenient,
+)
 from repro.runtime.telemetry.summarize import (
     TraceData,
     format_metrics,
@@ -73,7 +75,6 @@ from repro.runtime.telemetry.tracer import (
     NullTracer,
     SpanRecord,
     Tracer,
-    stage_totals,
 )
 
 __all__ = [
@@ -85,6 +86,7 @@ __all__ = [
     "WorkerReport",
     "analyze_trace",
     "phase_of",
+    "phase_totals",
     "render_analysis",
     "Counter",
     "Gauge",
@@ -113,6 +115,5 @@ __all__ = [
     "read_jsonl",
     "read_jsonl_lenient",
     "span",
-    "stage_totals",
     "summarize_trace",
 ]

@@ -39,10 +39,15 @@ package itself, no filesystem access — callers load the trace with
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.runtime.telemetry.summarize import TraceData
 from repro.runtime.telemetry.tracer import SpanRecord
+
+if TYPE_CHECKING:
+    from repro.runtime.telemetry.summarize import TraceData
 
 __all__ = [
     "PHASES",
@@ -53,10 +58,12 @@ __all__ = [
     "WorkerReport",
     "analyze_trace",
     "phase_of",
+    "phase_totals",
     "render_analysis",
 ]
 
 #: Span-name prefix -> phase label, matched in order (first wins).
+#: The one place that decides which layer a span's time belongs to.
 #: Kept as a tuple of pairs, not a dict: matching is ordered and the
 #: table is read-only (PAR001).
 _PHASE_PREFIXES: tuple[tuple[str, str], ...] = (
@@ -275,7 +282,7 @@ class TraceAnalysis:
         }
 
 
-def _self_times(spans: list[SpanRecord]) -> dict[int, float]:
+def _self_times(spans: Sequence[SpanRecord]) -> dict[int, float]:
     """Per-span self time: wall minus the direct children's wall.
 
     Clamped at zero — a child that outlives its parent (clock jitter,
@@ -292,6 +299,20 @@ def _self_times(spans: list[SpanRecord]) -> dict[int, float]:
         span.span_id: max(0.0, span.wall - child_wall.get(span.span_id, 0.0))
         for span in spans
     }
+
+
+def phase_totals(spans: Sequence[SpanRecord]) -> dict[str, float]:
+    """Summed self time per phase, seconds, largest first.
+
+    The one per-layer sum: ``repro trace analyze``, the run manifest's
+    ``phases`` and ``repro trace summarize`` all report it.
+    """
+    self_times = _self_times(spans)
+    totals: dict[str, float] = {}
+    for span in spans:
+        phase = phase_of(span.name)
+        totals[phase] = totals.get(phase, 0.0) + self_times[span.span_id]
+    return dict(sorted(totals.items(), key=lambda item: -item[1]))
 
 
 def _worker_of(span: SpanRecord) -> str:
@@ -377,15 +398,8 @@ def analyze_trace(data: TraceData, *, top: int = 10) -> TraceAnalysis:
     end = max(span.start + span.wall for span in spans)
     analysis.total_wall = end - start
 
-    self_times = _self_times(spans)
-    phase_wall: dict[str, float] = {}
-    phase_count: dict[str, int] = {}
-    for span in spans:
-        phase = phase_of(span.name)
-        phase_wall[phase] = (
-            phase_wall.get(phase, 0.0) + self_times[span.span_id]
-        )
-        phase_count[phase] = phase_count.get(phase, 0) + 1
+    phase_wall = phase_totals(spans)
+    phase_count = Counter(phase_of(span.name) for span in spans)
     accounted = sum(phase_wall.values())
     analysis.accounted_wall = accounted
     analysis.phases = [
@@ -395,9 +409,7 @@ def analyze_trace(data: TraceData, *, top: int = 10) -> TraceAnalysis:
             count=phase_count[phase],
             share=wall / accounted if accounted > 0 else 0.0,
         )
-        for phase, wall in sorted(
-            phase_wall.items(), key=lambda item: -item[1]
-        )
+        for phase, wall in phase_wall.items()
     ]
 
     analysis.workers = _worker_reports(spans)

@@ -36,58 +36,16 @@ of the inputs (the CLI merges worker traces *into* the main trace).
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.errors import ParameterError
-from repro.runtime.telemetry.sinks import JsonlSink
+from repro.runtime.telemetry.sinks import JsonlSink, read_jsonl_lenient
 
-__all__ = ["MERGE_SCHEMA", "merge_trace_files", "read_jsonl_lenient"]
+__all__ = ["MERGE_SCHEMA", "merge_trace_files"]
 
 #: Schema tag of the manifest record appended to every merged trace.
 MERGE_SCHEMA = "repro.trace_merge/1"
-
-
-def read_jsonl_lenient(
-    path: str | os.PathLike[str],
-) -> tuple[list[dict], int]:
-    """Parse a JSONL file, skipping a truncated final line.
-
-    Returns ``(records, skipped)`` where ``skipped`` is 1 when the
-    file ends mid-record without a trailing newline (a killed writer)
-    and 0 otherwise.  Malformed lines *with* a trailing newline are
-    real corruption and raise :class:`ParameterError` like the strict
-    reader.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as error:
-        raise ParameterError(
-            f"cannot read trace file {path}: {error}"
-        ) from error
-    records: list[dict] = []
-    skipped = 0
-    lines = text.splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if number == len(lines) and not text.endswith("\n"):
-                skipped = 1
-                break
-            raise ParameterError(
-                f"{path}:{number}: malformed trace line: {error}"
-            ) from error
-        if not isinstance(record, dict):
-            raise ParameterError(
-                f"{path}:{number}: trace records must be objects"
-            )
-        records.append(record)
-    return records, skipped
 
 
 def _merge_histogram(parts: list[dict]) -> dict:

@@ -16,7 +16,7 @@ span ids are only unique per process, so cross-process traces are
 grouped by the session's ``run_id`` tag.
 
 The session also assembles the end-of-run **run manifest**: config
-hash, seed, per-stage wall times, degradation counts, output
+hash, seed, per-phase self times, degradation counts, output
 checksums — the machine-readable summary a scheduler reads instead of
 scraping progress logs.
 """
@@ -30,6 +30,7 @@ import time
 from contextlib import contextmanager, nullcontext
 
 from repro.errors import ParameterError
+from repro.runtime.telemetry.analyze import phase_totals
 from repro.runtime.telemetry.metrics import MetricsRegistry
 from repro.runtime.telemetry.sinks import CallableSink, JsonlSink
 from repro.runtime.telemetry.tracer import NULL_TRACER, SpanRecord, Tracer
@@ -48,13 +49,14 @@ __all__ = [
 ]
 
 #: Schema tag stamped into every run manifest.
-MANIFEST_SCHEMA = "repro.run_manifest/1"
+MANIFEST_SCHEMA = "repro.run_manifest/2"
 
 #: Span names exempt from sampling.  These are the low-frequency
 #: structural spans (one per run / cell / arc / pin / worker) that
-#: summaries, stage totals and the parallel smoke checks key off —
-#: dropping any of them would silently skew ``repro trace summarize``
-#: and the merged pool trace.  Only high-frequency leaf spans (e.g.
+#: summaries, the work-unit and worker reports of ``repro trace
+#: analyze`` and the parallel smoke checks key off — dropping any of
+#: them would silently skew ``repro trace summarize`` and the merged
+#: pool trace.  Only high-frequency leaf spans (e.g.
 #: ``mc.condition``, one per grid point) are eligible for sampling;
 #: error spans are never dropped regardless of name.
 NEVER_SAMPLED = frozenset(
@@ -91,7 +93,7 @@ class TelemetrySession:
             occurrence is kept.  Spans named in :data:`NEVER_SAMPLED`
             and spans whose status is not ``ok`` always pass.
             Sampling is sink-side only: the in-memory tracer keeps
-            every span, so stage totals and manifests stay exact.
+            every span, so the manifest's phase times stay exact.
     """
 
     def __init__(
@@ -167,9 +169,10 @@ class TelemetrySession:
         """Build the end-of-run manifest.
 
         Base keys: ``schema``, ``run_id``, ``started_at`` (epoch
-        seconds), ``wall_total_s``, ``stages`` (per-stage wall
-        seconds from stage-boundary spans), ``span_count`` and the
-        full ``metrics`` snapshot.  Keyword arguments are merged on
+        seconds), ``wall_total_s``, ``phases`` (per-phase self time
+        in seconds, the numbers ``repro trace analyze`` reports for
+        an unsampled trace), ``span_count`` and the full ``metrics``
+        snapshot.  Keyword arguments are merged on
         top (callers add ``config_hash``, ``seed``, ``library`` ...).
         """
         base = {
@@ -177,7 +180,7 @@ class TelemetrySession:
             "run_id": self.run_id,
             "started_at": self._started_at,
             "wall_total_s": self.tracer.total_wall(),
-            "stages": self.tracer.stage_totals(),
+            "phases": phase_totals(self.tracer.records()),
             "span_count": len(self.tracer),
             "metrics": self.metrics.snapshot(),
         }

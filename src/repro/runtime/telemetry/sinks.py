@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.errors import ParameterError
 
-__all__ = ["CallableSink", "JsonlSink", "read_jsonl"]
+__all__ = ["CallableSink", "JsonlSink", "read_jsonl", "read_jsonl_lenient"]
 
 
 class JsonlSink:
@@ -66,11 +66,14 @@ class CallableSink:
         pass
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield records from a JSON-lines trace file.
+def _parse_jsonl(path: str | Path) -> tuple[list[dict], int]:
+    """The one JSON-lines loop behind both readers.
 
-    Blank lines are skipped; a malformed line raises
-    :class:`ParameterError` naming its 1-based line number.
+    Returns ``(records, truncated)``: ``truncated`` is the 1-based
+    number of a malformed final line without a trailing newline — the
+    signature of a killed writer, not a corrupt file — else 0.  Blank
+    lines are skipped; any other malformed line raises
+    :class:`ParameterError` naming its line number.
     """
     path = Path(path)
     try:
@@ -79,6 +82,7 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         raise ParameterError(
             f"cannot read trace file {path}: {error}"
         ) from error
+    records: list[dict] = []
     lines = text.splitlines()
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -86,15 +90,8 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as error:
-            # A malformed *final* line without a trailing newline is
-            # the signature of a killed writer, not a corrupt file —
-            # say so, it changes what the operator does next.
             if number == len(lines) and not text.endswith("\n"):
-                raise ParameterError(
-                    f"{path}:{number}: trace file is truncated "
-                    "mid-record (writer killed?); re-run or trim the "
-                    "partial last line"
-                ) from error
+                return records, number
             raise ParameterError(
                 f"{path}:{number}: malformed trace line: {error}"
             ) from error
@@ -102,4 +99,34 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             raise ParameterError(
                 f"{path}:{number}: trace records must be objects"
             )
-        yield record
+        records.append(record)
+    return records, 0
+
+
+def read_jsonl_lenient(path: str | Path) -> tuple[list[dict], int]:
+    """Parse a JSON-lines file, skipping a truncated final line.
+
+    Returns ``(records, skipped)`` where ``skipped`` is 1 when the
+    file ends mid-record without a trailing newline (a killed writer)
+    and 0 otherwise.  Malformed lines *with* a trailing newline are
+    real corruption and raise :class:`ParameterError`.
+    """
+    records, truncated = _parse_jsonl(path)
+    return records, int(truncated > 0)
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield records from a JSON-lines trace file.
+
+    Strict: any malformed line raises :class:`ParameterError` naming
+    its 1-based line number.  A truncated final line says so, since a
+    killed writer changes what the operator does next.
+    """
+    records, truncated = _parse_jsonl(path)
+    if truncated:
+        raise ParameterError(
+            f"{path}:{truncated}: trace file is truncated "
+            "mid-record (writer killed?); re-run or trim the "
+            "partial last line"
+        )
+    yield from records

@@ -3,7 +3,7 @@
 Reads a JSON-lines trace written by :class:`JsonlSink` back into span
 records, the final metrics snapshot and the run manifest, then renders
 an aggregated call-tree (span names grouped under their parent's name,
-with counts and summed wall/CPU time), the per-stage wall totals, the
+with counts and summed wall/CPU time), the per-phase self times, the
 metrics table and the manifest highlights.
 """
 
@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.runtime.telemetry.analyze import phase_totals
 from repro.runtime.telemetry.sinks import read_jsonl
-from repro.runtime.telemetry.tracer import SpanRecord, stage_totals
+from repro.runtime.telemetry.tracer import SpanRecord
 
 __all__ = [
     "TraceData",
@@ -144,19 +145,12 @@ def summarize_trace(data: TraceData) -> str:
         )
         lines.append("spans (aggregated by call path):")
         _render_tree(_build_tree(spans), 0, lines)
-        stages = stage_totals(spans)
-        if stages:
-            covered = sum(stages.values())
-            share = 100.0 * covered / total if total > 0 else 0.0
-            parts = "  ".join(
-                f"{stage}={wall:.4f}s"
-                for stage, wall in sorted(
-                    stages.items(), key=lambda item: -item[1]
-                )
-            )
-            lines.append(
-                f"stages: {parts}  (covers {share:.1f}% of wall)"
-            )
+        phases = phase_totals(spans)
+        share = 100.0 * sum(phases.values()) / total if total > 0 else 0.0
+        parts = "  ".join(
+            f"{phase}={wall:.4f}s" for phase, wall in phases.items()
+        )
+        lines.append(f"phases: {parts}  (self time, {share:.1f}% of wall)")
     else:
         lines.append("trace: no spans")
     if data.metrics:
@@ -165,7 +159,7 @@ def summarize_trace(data: TraceData) -> str:
     if data.manifest is not None:
         lines.append("manifest:")
         for key in sorted(data.manifest):
-            if key in ("metrics", "stages"):
+            if key in ("metrics", "phases"):
                 continue
             lines.append(f"  {key}: {data.manifest[key]}")
     if data.unknown:

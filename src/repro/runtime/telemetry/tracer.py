@@ -6,14 +6,10 @@ context managers; finished spans become immutable
 duration, the parent span (nesting is tracked per thread/context via
 :mod:`contextvars`), and free-form scalar tags.
 
-Two conventions give downstream aggregation its meaning:
-
-- a ``stage="..."`` tag marks the span as a *stage boundary*
-  (``sampling``, ``fitting``, ``export``, ``checkpoint`` ...); stage
-  wall times are summed over boundary spans only — a nested span whose
-  ancestor already carries a ``stage`` tag is not double-counted;
-- span names are dotted paths (``mc.condition``, ``em.fit``) grouped
-  by name in summaries.
+Span names are dotted paths (``mc.condition``, ``em.fit``); the name
+alone decides which phase a span's time is charged to (see
+:func:`repro.runtime.telemetry.analyze.phase_of`), so tags only carry
+detail.
 
 The :class:`NullTracer` singleton is the disabled default: its
 ``span`` returns one shared re-entrant no-op context manager, so
@@ -45,7 +41,7 @@ class SpanRecord:
         start: Start offset in seconds since the tracer was created.
         wall: Wall-clock duration in seconds.
         cpu: CPU time consumed by the calling thread, in seconds.
-        tags: Scalar tags; ``stage`` marks a stage boundary.
+        tags: Scalar tags.
         status: ``"ok"`` or ``"error:<ExceptionType>"``.
     """
 
@@ -166,47 +162,6 @@ class Tracer:
         start = min(record.start for record in records)
         end = max(record.start + record.wall for record in records)
         return end - start
-
-    def stage_totals(self) -> dict[str, float]:
-        """Wall seconds per ``stage`` tag, stage-boundary spans only.
-
-        A span counts toward its stage only when no ancestor span
-        carries a ``stage`` tag, so nested re-tagging cannot double
-        count (the boundary owns the whole subtree's time).
-        """
-        return stage_totals(self.records())
-
-    def name_totals(self) -> dict[str, tuple[int, float]]:
-        """Per span name: ``(count, summed wall seconds)``."""
-        totals: dict[str, tuple[int, float]] = {}
-        for record in self.records():
-            count, wall = totals.get(record.name, (0, 0.0))
-            totals[record.name] = (count + 1, wall + record.wall)
-        return totals
-
-
-def stage_totals(records) -> dict[str, float]:
-    """Stage-boundary wall sums for any iterable of span records."""
-    sequence = tuple(records)
-    by_id = {record.span_id: record for record in sequence}
-    totals: dict[str, float] = {}
-    for record in sequence:
-        stage = record.tags.get("stage")
-        if stage is None:
-            continue
-        parent_id = record.parent_id
-        shadowed = False
-        while parent_id is not None:
-            parent = by_id.get(parent_id)
-            if parent is None:
-                break
-            if "stage" in parent.tags:
-                shadowed = True
-                break
-            parent_id = parent.parent_id
-        if not shadowed:
-            totals[str(stage)] = totals.get(str(stage), 0.0) + record.wall
-    return totals
 
 
 #: Shared re-entrant no-op context manager (``nullcontext`` is

@@ -174,6 +174,29 @@ class TestGridRules:
         )
         assert "LIB008" in _rules(_lint(source))
 
+    def test_multi_row_1d_lut_is_lib008(self):
+        source = CLEAN.replace(
+            "  cell (INV_X1) {",
+            "  lu_table_template (t1) { variable_1 : "
+            'input_net_transition; index_1 ("0.01, 0.05"); }\n'
+            "  cell (INV_X1) {",
+        ).replace(
+            "related_pin : A;",
+            "related_pin : A; "
+            'rise_transition (t1) { values ("0.02, 0.03", "0.04, 0.05"); }',
+        )
+        (finding,) = [f for f in _lint(source) if f.rule_id == "LIB008"]
+        assert "rise_transition is 1-D but has 2 values rows" in (
+            finding.message
+        )
+        # An inline index_1 under a 2-D template inherits index_2.
+        inline = _with(
+            'cell_rise (t) { index_1 ("0.01, 0.05"); '
+            'values ("0.1, 0.2", "0.12, 0.25"); }',
+            'cell_rise (t) { values ("0.1, 0.2", "0.12, 0.25"); }',
+        )
+        assert _lint(inline) == []
+
 
 class TestMomentSanity:
     def test_zero_sigma_is_lib005(self):

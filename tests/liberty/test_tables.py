@@ -126,6 +126,16 @@ class TestTable:
         ):
             Table.from_group(group)
 
+    def test_from_group_1d_with_several_rows(self):
+        group = parse_group(
+            'cell_rise (t) { index_1 ("0.1, 0.2"); values ("1, 2", "3, 4"); }'
+        )
+        with pytest.raises(
+            LibertySemanticError,
+            match=r"cell_rise\(t\) is 1-D but has 2 values rows",
+        ):
+            Table.from_group(group)
+
     def test_from_group_no_indices_no_template(self):
         group = parse_group('cell_rise (t) { values ("1"); }')
         with pytest.raises(LibertySemanticError, match="index_1"):

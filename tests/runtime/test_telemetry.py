@@ -1,8 +1,8 @@
 """Tests for the telemetry subsystem: spans, metrics, sessions.
 
 Covers span nesting and timing, thread safety of tracer and registry,
-stage-boundary accounting, the no-op disabled path, JSONL emission,
-the run manifest, and the ``trace summarize`` round trip.
+the no-op disabled path, JSONL emission, the run manifest's phase
+times, and the ``trace summarize`` round trip.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from repro.runtime.telemetry import (
     SpanRecord,
     TelemetrySession,
     Tracer,
+    analyze_trace,
     load_trace,
     percentile,
     read_jsonl,
-    stage_totals,
     summarize_trace,
 )
 
@@ -115,36 +115,6 @@ class TestTracer:
         assert clone == record
 
 
-class TestStageTotals:
-    def test_nested_stage_spans_not_double_counted(self):
-        tracer = Tracer()
-        with tracer.span("outer", stage="fitting"):
-            time.sleep(0.005)
-            with tracer.span("inner", stage="fitting"):
-                time.sleep(0.005)
-        totals = stage_totals(tracer.records())
-        outer = next(
-            r for r in tracer.records() if r.name == "outer"
-        )
-        assert totals["fitting"] == pytest.approx(outer.wall)
-
-    def test_sibling_stages_sum(self):
-        tracer = Tracer()
-        with tracer.span("run"):
-            with tracer.span("a", stage="sampling"):
-                pass
-            with tracer.span("b", stage="export"):
-                pass
-        totals = stage_totals(tracer.records())
-        assert set(totals) == {"sampling", "export"}
-
-    def test_untagged_spans_ignored(self):
-        tracer = Tracer()
-        with tracer.span("plain"):
-            pass
-        assert stage_totals(tracer.records()) == {}
-
-
 class TestNullTracer:
     def test_null_span_is_reusable_noop(self):
         tracer = NullTracer()
@@ -221,7 +191,7 @@ class TestSessionEmission:
         path = tmp_path / "trace.jsonl"
         session = TelemetrySession(trace_path=path)
         with telemetry.activate(session):
-            with telemetry.span("root", stage="fitting"):
+            with telemetry.span("fit.root"):
                 telemetry.counter_inc("k", 2)
         session.write_manifest(session.manifest(custom="extra"))
         session.close()
@@ -229,13 +199,13 @@ class TestSessionEmission:
         types = [r["type"] for r in records]
         assert types == ["span", "manifest", "metrics"]
         span_record = records[0]
-        assert span_record["name"] == "root"
+        assert span_record["name"] == "fit.root"
         assert span_record["run_id"] == session.run_id
         manifest = records[1]
         assert manifest["schema"] == MANIFEST_SCHEMA
         assert manifest["custom"] == "extra"
         assert manifest["metrics"]["counters"]["k"] == 2
-        assert "fitting" in manifest["stages"]
+        assert "fitting" in manifest["phases"]
 
     def test_bad_jsonl_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -264,7 +234,7 @@ class TestSummarizeRoundTrip:
         session = TelemetrySession(trace_path=path)
         with telemetry.activate(session):
             with telemetry.span("run"):
-                with telemetry.span("work", stage="sampling"):
+                with telemetry.span("mc.work"):
                     telemetry.observe("speed", 10.0)
         session.write_manifest(session.manifest())
         session.close()
@@ -273,8 +243,8 @@ class TestSummarizeRoundTrip:
         assert data.manifest is not None
         text = summarize_trace(data)
         assert "run" in text
-        assert "work" in text
-        assert "sampling" in text
+        assert "mc.work" in text
+        assert "mc=" in text
         assert "speed" in text
 
     def test_load_trace_missing_file_raises(self, tmp_path):
@@ -347,10 +317,18 @@ class TestCharacterizationTelemetry:
 
     def test_stage_sums_cover_most_of_wall(self, run):
         session, _ = run
-        totals = session.tracer.stage_totals()
-        assert {"sampling", "fitting", "export"} <= set(totals)
+        totals = session.manifest()["phases"]
+        assert {"mc", "em", "fitting", "export"} <= set(totals)
         covered = sum(totals.values())
         assert covered >= 0.9 * session.tracer.total_wall()
+
+    def test_manifest_phases_equal_trace_analyze(self, run):
+        _, path = run
+        data = load_trace(path)
+        analysis = analyze_trace(data)
+        assert data.manifest["phases"] == {
+            phase.phase: phase.wall for phase in analysis.phases
+        }
 
     def test_trace_file_round_trips_through_summarize(self, run):
         _, path = run
@@ -360,8 +338,8 @@ class TestCharacterizationTelemetry:
         assert "em.fit" in text
         manifest = data.manifest
         assert manifest["schema"] == MANIFEST_SCHEMA
-        stage_sum = sum(manifest["stages"].values())
-        assert stage_sum >= 0.9 * manifest["wall_total_s"]
+        phase_sum = sum(manifest["phases"].values())
+        assert phase_sum >= 0.9 * manifest["wall_total_s"]
         for line in path.read_text().splitlines():
             json.loads(line)  # every line is valid JSON
 

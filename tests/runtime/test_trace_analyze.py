@@ -140,12 +140,12 @@ class TestLibertyReadPath:
 
         by_name = {record.name: record for record in records}
         assert {"liberty.parse", "liberty.validate"} <= set(by_name)
-        assert by_name["liberty.parse"].tags["stage"] == "export"
-        assert by_name["liberty.validate"].tags["stage"] == "export"
+        assert phase_of("liberty.parse") == "export"
+        assert phase_of("liberty.validate") == "export"
         assert counters["liberty.parsed_bytes"] == len(text)
         analysis = analyze_trace(TraceData(spans=list(records)))
         assert [p.phase for p in analysis.phases] == ["export"]
-        assert telemetry.stage_totals(records).keys() == {"export"}
+        assert telemetry.phase_totals(records).keys() == {"export"}
 
 
 class TestWorkerReports:

@@ -367,8 +367,8 @@ class TestObservabilityFlags:
         assert manifest["config_hash"]
         assert manifest["seed"] == 2024
         assert manifest["library"]["n_cells"] == 1
-        stage_sum = sum(manifest["stages"].values())
-        assert stage_sum >= 0.9 * manifest["wall_total_s"]
+        phase_sum = sum(manifest["phases"].values())
+        assert phase_sum >= 0.9 * manifest["wall_total_s"]
 
         fit_report = json.loads(report.read_text())
         assert fit_report["rung_counts"].get("LVF2", 0) >= 1
@@ -386,7 +386,7 @@ class TestObservabilityFlags:
         assert main(["trace", "summarize", str(trace)]) == 0
         output = capsys.readouterr().out
         assert "characterize.run" in output
-        assert "stages:" in output
+        assert "phases:" in output
 
     def test_trace_summarize_missing_file(self, tmp_path, capsys):
         code = main(["trace", "summarize", str(tmp_path / "no.jsonl")])
