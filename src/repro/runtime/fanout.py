@@ -27,6 +27,11 @@ Rules (DESIGN §8, §14):
   (pickling error, broken pipe, a helper that died) makes the caller
   compute that block itself; a pool that lost a helper is discarded
   and the next call starts a fresh one.
+- When the caller has an active telemetry session, a helper runs each
+  block under a session of its own and sends its spans and metrics
+  back with the output.  The caller adopts the spans under its open
+  span, tagged ``helper``, and adds the metrics to its own, so a
+  fanned-out call records what an inline one does.
 """
 
 from __future__ import annotations
@@ -99,6 +104,32 @@ def _send_loop(outbox: queue.SimpleQueue, results: Connection) -> None:
             return
 
 
+def _traced(task: Callable[[Any], Any], payload: Any) -> tuple[Any, tuple]:
+    """Run one block under a fresh session; its output and telemetry.
+
+    The telemetry is the session's tracer epoch, its spans and its
+    :meth:`~repro.runtime.telemetry.MetricsRegistry.raw` metrics:
+    what :func:`_adopt` needs to put them into the caller's session.
+    """
+    session = telemetry.TelemetrySession()
+    with telemetry.activate(session):
+        output = task(payload)
+    return output, (
+        session.tracer.epoch,
+        session.tracer.records(),
+        session.metrics.raw(),
+    )
+
+
+def _adopt(record: tuple, helper: str) -> None:
+    """Put a helper block's telemetry into the caller's session."""
+    session = telemetry.active_session()
+    if session is not None:
+        epoch, spans, metrics = record
+        session.tracer.adopt(spans, epoch, helper=helper)
+        session.metrics.absorb(metrics)
+
+
 def _helper_main(
     tasks: Connection, results: Connection, claims: Connection
 ) -> None:
@@ -117,7 +148,7 @@ def _helper_main(
     sender.start()
     while True:
         try:
-            task, payloads = pickle.loads(tasks.recv_bytes())
+            task, payloads, traced = pickle.loads(tasks.recv_bytes())
         except (EOFError, OSError):
             break
         except Exception:  # noqa: BLE001 — an unreadable call claims nothing
@@ -125,9 +156,13 @@ def _helper_main(
             continue
         while (index := _claim(claims)) is not None:
             try:
+                output, record = (
+                    _traced(task, payloads[index])
+                    if traced
+                    else (task(payloads[index]), None)
+                )
                 data = pickle.dumps(
-                    (index, task(payloads[index])),
-                    protocol=pickle.HIGHEST_PROTOCOL,
+                    (index, output, record), protocol=pickle.HIGHEST_PROTOCOL
                 )
             except Exception:  # noqa: BLE001 — the caller recomputes it
                 continue
@@ -139,6 +174,7 @@ def _helper_main(
 
 @dataclass
 class _Helper:
+    label: str
     process: Any
     tasks: Connection
     results: Connection
@@ -174,7 +210,11 @@ class _Helpers:
             # as EOF on the results pipe and EPIPE on the tasks pipe.
             task_reader.close()
             result_writer.close()
-            self.helpers.append(_Helper(process, task_writer, result_reader))
+            self.helpers.append(
+                _Helper(
+                    f"h{number:02d}", process, task_writer, result_reader
+                )
+            )
         self.booted = all(self._ready(helper) for helper in self.helpers)
         if not self.booted:
             self.close()
@@ -227,33 +267,35 @@ class _Helpers:
             b"".join(_TOKEN.pack(index) for index in range(len(payloads))),
         )
         sound = True
-        busy: list[Connection] = []
+        busy: dict[Connection, str] = {}
         for helper in self.helpers:
             try:
                 helper.tasks.send_bytes(message)
             except OSError:
                 sound = False
                 continue
-            busy.append(helper.results)
+            busy[helper.results] = helper.label
         while (index := _claim(self.claims)) is not None:
             outputs[index] = task(payloads[index])
         delivered = 0
         while busy:
-            for connection in wait(busy):
+            for connection in wait(list(busy)):
                 try:
                     data = connection.recv_bytes()
                 except (EOFError, OSError):
-                    busy.remove(connection)
+                    del busy[connection]
                     sound = False
                     continue
                 if data == _DONE:
-                    busy.remove(connection)
+                    del busy[connection]
                     continue
                 try:
-                    index, output = pickle.loads(data)
+                    index, output, record = pickle.loads(data)
                 except Exception:  # noqa: BLE001 — recomputed below
                     continue
                 outputs[index] = output
+                if record is not None:
+                    _adopt(record, busy[connection])
                 delivered += 1
         if delivered:
             telemetry.counter_inc("fanout.helper_blocks", delivered)
@@ -311,7 +353,11 @@ def run_blocks(
     Calls of more than ``PIPE_BUF / 4`` blocks (1024 on Linux) run
     inline, since the claim queue is written in one atomic write.  An
     exception raised by ``task`` in the caller propagates and discards
-    the helpers, which may still be busy with this call.
+    the helpers, which may still be busy with this call.  A task that
+    should fail its block alone returns its exception instead.
+
+    Under an active telemetry session the spans and metrics of the
+    blocks helpers ran join the caller's session (:func:`_adopt`).
     """
     if (
         not 2 <= len(payloads) <= select.PIPE_BUF // _TOKEN.size
@@ -322,7 +368,12 @@ def run_blocks(
     try:
         try:
             message = pickle.dumps(
-                (task, list(payloads)), protocol=pickle.HIGHEST_PROTOCOL
+                (
+                    task,
+                    list(payloads),
+                    telemetry.active_session() is not None,
+                ),
+                protocol=pickle.HIGHEST_PROTOCOL,
             )
         except Exception:  # noqa: BLE001 — unpicklable: run inline
             return [task(payload) for payload in payloads]

@@ -118,6 +118,11 @@ class Histogram:
     def count(self) -> int:
         return self._count
 
+    def values(self) -> list[float]:
+        """The kept raw observations (all of them below the cap)."""
+        with self._lock:
+            return list(self._values)
+
     def summary(self) -> dict:
         """Count, mean, min/max and p50/p90/p99 of the observations."""
         with self._lock:
@@ -175,6 +180,44 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
+
+    def raw(self) -> dict:
+        """Everything recorded, in a form :meth:`absorb` adds up.
+
+        Counters and gauges as values, histograms as their raw
+        observations: how a fan-out helper hands a block's metrics
+        back to the caller (:mod:`repro.runtime.fanout`).
+        """
+        with self._lock:
+            metrics = dict(self._metrics)
+        out: dict[str, dict] = {
+            "counters": {},
+            "gauges": {},
+            "histograms": {},
+        }
+        for name, metric in metrics.items():
+            out[f"{metric.kind}s"][name] = (
+                metric.values()
+                if isinstance(metric, Histogram)
+                else metric.value
+            )
+        return out
+
+    def absorb(self, raw: dict) -> None:
+        """Add another registry's :meth:`raw` record to this one.
+
+        Counters add, histograms take every observation and gauges
+        take the other registry's value.
+        """
+        for name, amount in raw["counters"].items():
+            self.inc(name, amount)
+        for name, values in raw["histograms"].items():
+            histogram = self.histogram(name)
+            for value in values:
+                histogram.observe(value)
+        for name, value in raw["gauges"].items():
+            if value is not None:
+                self.set_gauge(name, value)
 
     def names(self) -> tuple[str, ...]:
         with self._lock:

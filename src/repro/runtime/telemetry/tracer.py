@@ -11,6 +11,10 @@ alone decides which phase a span's time is charged to (see
 :func:`repro.runtime.telemetry.analyze.phase_of`), so tags only carry
 detail.
 
+:meth:`Tracer.adopt` takes in spans another process recorded (the
+fan-out helpers of :mod:`repro.runtime.fanout`) as children of the
+calling thread's open span.
+
 The :class:`NullTracer` singleton is the disabled default: its
 ``span`` returns one shared re-entrant no-op context manager, so
 instrumented hot paths cost a function call and a dict allocation when
@@ -20,10 +24,11 @@ telemetry is off.
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import itertools
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -88,6 +93,8 @@ class Tracer:
 
     Attributes:
         enabled: True for real tracers; :class:`NullTracer` overrides.
+        epoch: ``time.perf_counter()`` when the tracer was created; a
+            span's ``start`` is an offset from it.
     """
 
     enabled = True
@@ -99,14 +106,14 @@ class Tracer:
         self._lock = threading.Lock()
         self._records: list[SpanRecord] = []
         self._ids = itertools.count(1)
-        self._t0 = time.perf_counter()
+        self.epoch = time.perf_counter()
         # Per-thread (and per-asyncio-task) span stack for nesting.
         self._stack: contextvars.ContextVar[tuple[int, ...]] = (
             contextvars.ContextVar(f"repro_span_stack_{id(self)}", default=())
         )
 
     @contextmanager
-    def _span(self, name: str, tags: dict) -> Iterator[int]:
+    def _span(self, name: str, tags: dict) -> Iterator[dict]:
         span_id = next(self._ids)
         stack = self._stack.get()
         parent_id = stack[-1] if stack else None
@@ -115,7 +122,7 @@ class Tracer:
         start_cpu = time.thread_time()
         status = "ok"
         try:
-            yield span_id
+            yield tags
         except BaseException as error:
             status = f"error:{type(error).__name__}"
             raise
@@ -127,20 +134,53 @@ class Tracer:
                 name=name,
                 span_id=span_id,
                 parent_id=parent_id,
-                start=start_wall - self._t0,
+                start=start_wall - self.epoch,
                 wall=wall,
                 cpu=cpu,
                 tags=tags,
                 status=status,
             )
-            with self._lock:
-                self._records.append(record)
-            if self._sink is not None:
-                self._sink(record)
+            self._record(record)
+
+    def _record(self, record: SpanRecord) -> None:
+        with self._lock:
+            self._records.append(record)
+        if self._sink is not None:
+            self._sink(record)
 
     def span(self, name: str, **tags: object):
-        """Context manager timing one named span (yields its id)."""
+        """Context manager timing one named span.
+
+        It yields the span's tags dict: a tag known only at the end
+        (an iteration count) is set on it inside the ``with`` block.
+        """
         return self._span(name, tags)
+
+    def adopt(
+        self, records: Sequence[SpanRecord], epoch: float, **tags: object
+    ) -> None:
+        """Take in spans another tracer recorded, in completion order.
+
+        Ids are renumbered from this tracer's counter, the adopted
+        roots become children of the calling thread's open span, and
+        starts move from ``epoch`` (the other tracer's
+        :attr:`epoch`) onto this tracer's clock; ``perf_counter`` is
+        one system-wide clock, so this holds across processes.
+        ``tags`` are added to every adopted span.
+        """
+        stack = self._stack.get()
+        open_id = stack[-1] if stack else None
+        ids = {record.span_id: next(self._ids) for record in records}
+        for record in records:
+            self._record(
+                dataclasses.replace(
+                    record,
+                    span_id=ids[record.span_id],
+                    parent_id=ids.get(record.parent_id, open_id),
+                    start=record.start + epoch - self.epoch,
+                    tags={**record.tags, **tags},
+                )
+            )
 
     # ------------------------------------------------------------------
     # Queries

@@ -106,6 +106,45 @@ class TestTracer:
                 parent = by_id[record.parent_id]
                 assert parent.name == f"outer-{suffix}", errors
 
+    def test_tag_set_inside_the_span(self):
+        tracer = Tracer()
+        with tracer.span("loop", rows=2) as tags:
+            tags["iterations"] = 7
+        (record,) = tracer.records()
+        assert record.tags == {"rows": 2, "iterations": 7}
+
+    def test_adopt_nests_foreign_spans_under_the_open_span(self):
+        helper = Tracer()
+        with helper.span("block"):
+            with helper.span("leaf"):
+                time.sleep(0.002)
+        caller = Tracer(sink=(emitted := []).append)
+        with caller.span("outer"):
+            with caller.span("wait"):
+                caller.adopt(helper.records(), helper.epoch, helper="h00")
+        records = caller.records()
+        assert [r.name for r in records] == ["leaf", "block", "wait", "outer"]
+        assert emitted == list(records)
+        leaf, block, wait, _ = records
+        assert len({r.span_id for r in records}) == 4
+        assert leaf.parent_id == block.span_id
+        assert block.parent_id == wait.span_id
+        assert leaf.tags == block.tags == {"helper": "h00"}
+        assert leaf.wall == helper.records()[0].wall
+        # Same instants on the caller's clock.
+        offset = helper.epoch - caller.epoch
+        assert block.start == helper.records()[1].start + offset
+        assert block.start <= wait.start + wait.wall
+
+    def test_adopt_without_an_open_span_makes_roots(self):
+        helper = Tracer()
+        with helper.span("block"):
+            pass
+        caller = Tracer()
+        caller.adopt(helper.records(), helper.epoch)
+        (record,) = caller.records()
+        assert record.parent_id is None and record.span_id == 1
+
     def test_record_round_trip(self):
         tracer = Tracer()
         with tracer.span("x", k="v"):
@@ -167,6 +206,21 @@ class TestMetrics:
     def test_percentile_interpolates(self):
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
         assert percentile([5.0], 99) == 5.0
+
+    def test_absorb_adds_a_raw_record(self):
+        helper, caller = MetricsRegistry(), MetricsRegistry()
+        for value in (3.0, 1.0, 2.0):
+            helper.observe("h", value)
+        helper.inc("n", 4)
+        helper.set_gauge("g", 1.5)
+        caller.inc("n", 1)
+        caller.observe("h", 10.0)
+        caller.absorb(helper.raw())
+        snapshot = caller.snapshot()
+        assert snapshot["counters"] == {"n": 5}
+        assert snapshot["gauges"] == {"g": 1.5}
+        assert snapshot["histograms"]["h"]["count"] == 4
+        assert snapshot["histograms"]["h"]["p50"] == pytest.approx(2.5)
 
     def test_thread_safe_counts(self):
         registry = MetricsRegistry()
