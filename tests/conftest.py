@@ -9,6 +9,7 @@ import pytest
 
 from repro.circuits.gate import GateTimingEngine
 from repro.circuits.process import TT_GLOBAL_LOCAL_MC
+from repro.runtime import fanout
 from repro.stats.mixtures import Mixture
 from repro.stats.skew_normal import SkewNormal
 
@@ -59,3 +60,12 @@ def bimodal_samples(
 def engine() -> GateTimingEngine:
     """Shared timing engine at the paper's corner."""
     return GateTimingEngine(corner=TT_GLOBAL_LOCAL_MC)
+
+
+@pytest.fixture
+def one_helper(monkeypatch):
+    """Fan out to one fresh helper whatever the core count; stop it after."""
+    monkeypatch.setattr(fanout, "_helper_count", lambda: 1)
+    fanout._shutdown()
+    yield
+    fanout._shutdown()
